@@ -32,6 +32,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -77,14 +79,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		leaseMax    = fs.Int("lease-attempts", 0, "fleet: times one seed range may be leased before its job fails (0 = default 5)")
 		chaosSpec   = fs.String("chaos-spec", "", `fleet: deterministic wire-fault injection, e.g. "seed=7,drop=0.1,delay=0.2:20ms,dup=0.1,corrupt=0.05,partition=1500ms/6s" (chaos testing only)`)
 
-		fleetSecret  = fs.String("fleet-secret", "", "fleet: shared secret; every fleet RPC carries an HMAC-SHA256 body signature (must match on all nodes)")
-		verifySeeds  = fs.Int("verify-seeds", 0, "fleet: lease each verified seed range to this many distinct nodes and admit results only on majority digest agreement (0 or 1 = trust workers)")
-		verifySample = fs.Float64("verify-sample", 1, "fleet: fraction of seed ranges quorum-verified when -verify-seeds is set (deterministic per range)")
-		quarProbe    = fs.Duration("quarantine-probation", 2*time.Minute, "fleet: how long a quarantined node is refused leases before it may heal")
-		specFactor   = fs.Float64("speculate-factor", 0, "fleet: re-lease a straggling range speculatively once its lease is this multiple of the expected duration old (0 = off)")
-		leaseMin     = fs.Int("lease-seeds-min", 0, "fleet: lower bound for throughput-sized leases (0 = default 1)")
-		leaseCeil    = fs.Int("lease-seeds-max", 0, "fleet: upper bound for throughput-sized leases (0 = default 4×lease-seeds)")
-		lieSpec      = fs.String("lie-spec", "", `fleet: make this worker Byzantine, e.g. "seed=3,flip=1,skew=0.5,stalefp=0.2" (fault-injection testing only)`)
+		fleetSecret = fs.String("fleet-secret", "", "fleet: shared secret; every fleet RPC carries an HMAC-SHA256 body signature (must match on all nodes)")
+		verifySeeds = fs.Int("verify-seeds", 0, "fleet: lease every seed range to this many distinct nodes and admit results only on majority digest agreement (0 or 1 = trust workers)")
+		quarProbe   = fs.Duration("quarantine-probation", 2*time.Minute, "fleet: how long a quarantined node is refused leases before it may heal")
+		lieSpec     = fs.String("lie-spec", "", `fleet: make this worker Byzantine, e.g. "seed=3,flip=1,skew=0.5,stalefp=0.2" (fault-injection testing only)`)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -103,13 +101,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case *join != "":
 		mode = "worker"
 	}
+	if err := checkFlagModes(fs, mode); err != nil {
+		return err
+	}
+	if *ckRounds > 0 && *journalDir == "" {
+		return errors.New("-checkpoint-rounds journals engine checkpoints: it requires -journal-dir")
+	}
+	if *verifySeeds < 0 {
+		return errors.New("-verify-seeds must be >= 0")
+	}
 
 	cspec, err := chaos.ParseSpec(*chaosSpec)
 	if err != nil {
 		return err
-	}
-	if cspec != nil && mode == "single" {
-		return errors.New("-chaos-spec applies to fleet wire traffic: it requires -coordinator or -join")
 	}
 	inj := chaos.New(cspec) // nil spec → nil injector → every hook is a no-op
 
@@ -117,19 +121,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if lspec != nil && mode != "worker" {
-		return errors.New("-lie-spec makes a worker Byzantine: it requires -join")
-	}
 	liar := chaos.NewLiar(lspec) // nil spec → nil liar → honest worker
-	if (*verifySeeds != 0 || *specFactor != 0 || *leaseMin != 0 || *leaseCeil != 0) && mode != "coordinator" {
-		return errors.New("-verify-seeds, -speculate-factor, -lease-seeds-min, and -lease-seeds-max tune lease cutting: they require -coordinator")
-	}
-	if *verifySeeds < 0 {
-		return errors.New("-verify-seeds must be >= 0")
-	}
-	if *fleetSecret != "" && mode == "single" {
-		return errors.New("-fleet-secret authenticates fleet RPCs: it requires -coordinator or -join")
-	}
 
 	logger := log.New(out, "", log.LstdFlags)
 	logf := func(format string, a ...any) { logger.Printf(format, a...) }
@@ -157,16 +149,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case "coordinator":
 		coord := fleet.NewCoordinator(fleet.Config{
 			LeaseSeeds:       *leaseSeeds,
-			LeaseSeedsMin:    *leaseMin,
-			LeaseSeedsMax:    *leaseCeil,
 			LeaseTTL:         *leaseTTL,
 			NodeTTL:          *nodeTTL,
 			PollInterval:     *fleetPoll,
 			MaxLeaseAttempts: *leaseMax,
 			VerifySeeds:      *verifySeeds,
-			VerifySample:     *verifySample,
 			Probation:        *quarProbe,
-			SpeculateFactor:  *specFactor,
 			Secret:           *fleetSecret,
 			Logf:             logf,
 		})
@@ -212,6 +200,49 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer worker.Close()
 	}
 	return d.Run(ctx)
+}
+
+// flagModes lists the flags that mean something only in some modes, with
+// the reason a flag set in another mode is refused. A mode-specific flag is
+// never silently ignored.
+var flagModes = map[string]struct {
+	modes []string // "coordinator" (-coordinator), "worker" (-join)
+	why   string
+}{
+	"chaos-spec":           {[]string{"coordinator", "worker"}, "applies to fleet wire traffic"},
+	"fleet-secret":         {[]string{"coordinator", "worker"}, "authenticates fleet RPCs"},
+	"lie-spec":             {[]string{"worker"}, "makes a worker Byzantine"},
+	"node-id":              {[]string{"worker"}, "names a worker"},
+	"worker-slots":         {[]string{"worker"}, "sizes a worker"},
+	"verify-seeds":         {[]string{"coordinator"}, "tunes lease cutting"},
+	"lease-seeds":          {[]string{"coordinator"}, "tunes lease cutting"},
+	"lease-ttl":            {[]string{"coordinator"}, "tunes lease expiry"},
+	"lease-attempts":       {[]string{"coordinator"}, "tunes lease expiry"},
+	"node-ttl":             {[]string{"coordinator"}, "tunes worker liveness"},
+	"fleet-poll":           {[]string{"coordinator"}, "is advertised to workers by the coordinator"},
+	"quarantine-probation": {[]string{"coordinator"}, "tunes worker quarantine"},
+}
+
+// modeSwitch names the flag that selects each fleet mode.
+var modeSwitch = map[string]string{"coordinator": "-coordinator", "worker": "-join"}
+
+// checkFlagModes refuses any explicitly set flag that flagModes does not
+// allow in mode. fs.Visit walks set flags in name order, so the first
+// offender reported is deterministic.
+func checkFlagModes(fs *flag.FlagSet, mode string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		rule, ok := flagModes[f.Name]
+		if !ok || err != nil || slices.Contains(rule.modes, mode) {
+			return
+		}
+		var needs []string
+		for _, m := range rule.modes {
+			needs = append(needs, modeSwitch[m])
+		}
+		err = fmt.Errorf("-%s %s: it requires %s", f.Name, rule.why, strings.Join(needs, " or "))
+	})
+	return err
 }
 
 // chainMetrics appends a fault injector's counters (chaos wire faults,

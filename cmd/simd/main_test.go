@@ -142,3 +142,33 @@ func TestStartupLineWorkerMode(t *testing.T) {
 	}
 	stopRun(t, cancel, errc)
 }
+
+// TestFlagModeRejections: a mode-specific flag set explicitly in a mode
+// that ignores it is refused before the daemon starts, even at its default
+// value.
+func TestFlagModeRejections(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-node-id", "w0"}, "-node-id names a worker: it requires -join"},
+		{[]string{"-coordinator", "-worker-slots", "2"}, "-worker-slots sizes a worker: it requires -join"},
+		{[]string{"-join", "http://127.0.0.1:1", "-verify-seeds", "0"}, "-verify-seeds tunes lease cutting: it requires -coordinator"},
+		{[]string{"-join", "http://127.0.0.1:1", "-lease-seeds", "4"}, "-lease-seeds tunes lease cutting: it requires -coordinator"},
+		{[]string{"-lease-ttl", "2s"}, "-lease-ttl tunes lease expiry: it requires -coordinator"},
+		{[]string{"-lease-attempts", "3"}, "-lease-attempts tunes lease expiry: it requires -coordinator"},
+		{[]string{"-join", "http://127.0.0.1:1", "-node-ttl", "2s"}, "-node-ttl tunes worker liveness: it requires -coordinator"},
+		{[]string{"-fleet-poll", "50ms"}, "-fleet-poll is advertised to workers by the coordinator: it requires -coordinator"},
+		{[]string{"-join", "http://127.0.0.1:1", "-quarantine-probation", "1m"}, "-quarantine-probation tunes worker quarantine: it requires -coordinator"},
+		{[]string{"-coordinator", "-lie-spec", "seed=1,flip=1"}, "-lie-spec makes a worker Byzantine: it requires -join"},
+		{[]string{"-fleet-secret", "s"}, "-fleet-secret authenticates fleet RPCs: it requires -coordinator or -join"},
+		{[]string{"-checkpoint-rounds", "50"}, "-checkpoint-rounds journals engine checkpoints: it requires -journal-dir"},
+	}
+	for _, tc := range cases {
+		var out syncBuffer
+		err := run(context.Background(), tc.args, &out)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("run(%q) = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -41,9 +41,6 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 	if threshold <= 0 {
 		threshold = 5
 	}
-	if cooldown <= 0 {
-		cooldown = 3 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 

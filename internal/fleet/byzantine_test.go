@@ -229,7 +229,6 @@ func TestQuorumSplitEscalatesAndQuarantines(t *testing.T) {
 // is rejected before merging and scores an attestation failure.
 func TestAttestationSelfCheckFaultsDelivery(t *testing.T) {
 	cfg := fastFleet()
-	cfg.QuarantineThreshold = 0.5
 	c := NewCoordinator(cfg)
 	defer c.Close()
 	mux := http.NewServeMux()
@@ -384,7 +383,7 @@ func TestQuarantineAdoptedFromJournalAndHeals(t *testing.T) {
 }
 
 func TestLeaseSizeFollowsThroughput(t *testing.T) {
-	c := NewCoordinator(Config{LeaseSeeds: 8, LeaseSeedsMin: 2, LeaseSeedsMax: 16, LeaseTTL: 15 * time.Second})
+	c := NewCoordinator(Config{LeaseSeeds: 8, LeaseTTL: 15 * time.Second})
 	defer c.Close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -395,18 +394,19 @@ func TestLeaseSizeFollowsThroughput(t *testing.T) {
 	if got := c.leaseSizeFor("wa"); got != 8 {
 		t.Fatalf("no-history lease size = %d, want the LeaseSeeds default", got)
 	}
-	// TTL/3 = 5s of work at the node's measured rate, clamped.
+	// TTL/3 = 5s of work at the node's measured rate, clamped to
+	// [1, 4×LeaseSeeds].
 	n.rate = 1
 	if got := c.leaseSizeFor("wa"); got != 5 {
 		t.Fatalf("1 seed/s lease size = %d, want 5", got)
 	}
 	n.rate = 200
-	if got := c.leaseSizeFor("wa"); got != 16 {
-		t.Fatalf("fast-node lease size = %d, want the max clamp 16", got)
+	if got := c.leaseSizeFor("wa"); got != 32 {
+		t.Fatalf("fast-node lease size = %d, want the max clamp 32", got)
 	}
-	n.rate = 0.2
-	if got := c.leaseSizeFor("wa"); got != 2 {
-		t.Fatalf("slow-node lease size = %d, want the min clamp 2", got)
+	n.rate = 0.1
+	if got := c.leaseSizeFor("wa"); got != 1 {
+		t.Fatalf("slow-node lease size = %d, want the min clamp 1", got)
 	}
 }
 
@@ -433,36 +433,8 @@ func TestIdleNodeRateDecays(t *testing.T) {
 	if n.rate != 0 {
 		t.Fatalf("idle rate never decayed to 0, stuck at %g", n.rate)
 	}
-	if r.medianRate() != 0 {
-		t.Fatalf("medianRate = %g with no productive nodes", r.medianRate())
-	}
-}
-
-func TestVerifySampleDeterministic(t *testing.T) {
-	cfg := fastFleet()
-	cfg.VerifySeeds = 3
-	cfg.VerifySample = 0.5
-	c := NewCoordinator(cfg)
-	defer c.Close()
-	hits := 0
-	for seed := uint64(0); seed < 200; seed++ {
-		a := c.sampleHit("fp-x", seed)
-		if b := c.sampleHit("fp-x", seed); b != a {
-			t.Fatalf("sampleHit(%d) not deterministic", seed)
-		}
-		if a {
-			hits++
-		}
-	}
-	if hits < 60 || hits > 140 {
-		t.Fatalf("0.5 sampling hit %d of 200 ranges", hits)
-	}
-	full := NewCoordinator(Config{VerifySeeds: 3}) // VerifySample defaults to 1
-	defer full.Close()
-	for seed := uint64(0); seed < 20; seed++ {
-		if !full.sampleHit("fp-x", seed) {
-			t.Fatal("VerifySample=1 skipped a range")
-		}
+	if got := r.snapshot(t0)[0].SeedsPerSec; got != 0 {
+		t.Fatalf("NodeInfo.SeedsPerSec = %g for an idle node, want 0", got)
 	}
 }
 

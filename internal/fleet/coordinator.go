@@ -3,13 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -25,15 +22,10 @@ import (
 type Config struct {
 	// LeaseSeeds is the seed-range size per lease for nodes without a
 	// throughput history. Smaller leases spread a job wider and lose less to
-	// a node death; larger ones amortize runner construction better.
-	// Default 8.
+	// a node death; larger ones amortize runner construction better. Once a
+	// node has a seeds/sec EWMA, its leases are sized to about a third of a
+	// lease TTL of work, clamped to [1, 4×LeaseSeeds]. Default 8.
 	LeaseSeeds int
-	// LeaseSeedsMin / LeaseSeedsMax bound locality-aware lease sizing: once
-	// a node has a seeds/sec EWMA, its leases are sized to about a third of
-	// a lease TTL of work, clamped to [min, max]. Defaults 1 and
-	// 4×LeaseSeeds.
-	LeaseSeedsMin int
-	LeaseSeedsMax int
 	// LeaseTTL is how long a leased range may go without a heartbeat before
 	// it is re-leased. Default 15s.
 	LeaseTTL time.Duration
@@ -52,31 +44,15 @@ type Config struct {
 	// node that touches it. It also caps quorum escalations. Default 5.
 	MaxLeaseAttempts int
 
-	// VerifySeeds enables k-redundant quorum verification: each selected
-	// seed range is leased to VerifySeeds distinct nodes and a seed is
-	// admitted only once a majority (k/2+1) delivered attestation-identical
-	// results. 0 or 1 disables verification (trust every worker, the
-	// pre-Byzantine behavior).
+	// VerifySeeds enables k-redundant quorum verification: every seed range
+	// is leased to VerifySeeds distinct nodes and a seed is admitted only
+	// once a majority (k/2+1) delivered attestation-identical results. 0 or
+	// 1 disables verification (trust every worker, the pre-Byzantine
+	// behavior).
 	VerifySeeds int
-	// VerifySample is the fraction of seed ranges verified when VerifySeeds
-	// is active, selected deterministically from (fingerprint, first seed).
-	// <= 0 or >= 1 verifies everything. Sampling trades detection latency
-	// for throughput: a persistent liar still lands in a verified range
-	// quickly, and one confirmed lie quarantines it.
-	VerifySample float64
-	// QuarantineThreshold is the attestation-failure EWMA at which a node is
-	// quarantined. The EWMA steps by 0.5 per event, so the default 0.5
-	// quarantines on the first confirmed lie against a clean history.
-	QuarantineThreshold float64
 	// Probation is how long a quarantined node is refused leases before it
 	// may earn its way back. Default 2m.
 	Probation time.Duration
-	// SpeculateFactor enables speculative re-execution of stragglers: an
-	// active lease older than SpeculateFactor × its expected duration (range
-	// size / fleet median seeds-per-sec) is hedged with one speculative
-	// replica on another node; the first delivery wins and the loser is a
-	// counted duplicate. 0 disables speculation.
-	SpeculateFactor float64
 	// Secret, when set, requires every fleet RPC to carry a valid
 	// HMAC-SHA256 of its body in the AuthHeader header (`-fleet-secret` on
 	// every node). Empty serves unauthenticated, the pre-auth behavior.
@@ -89,12 +65,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.LeaseSeeds <= 0 {
 		c.LeaseSeeds = 8
-	}
-	if c.LeaseSeedsMin <= 0 {
-		c.LeaseSeedsMin = 1
-	}
-	if c.LeaseSeedsMax <= 0 {
-		c.LeaseSeedsMax = 4 * c.LeaseSeeds
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
@@ -110,12 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxLeaseAttempts <= 0 {
 		c.MaxLeaseAttempts = 5
-	}
-	if c.VerifySample <= 0 || c.VerifySample > 1 {
-		c.VerifySample = 1
-	}
-	if c.QuarantineThreshold <= 0 || c.QuarantineThreshold > 1 {
-		c.QuarantineThreshold = 0.5
 	}
 	if c.Probation <= 0 {
 		c.Probation = 2 * time.Minute
@@ -196,7 +160,6 @@ type Coordinator struct {
 	quarantines   atomic.Int64 // quarantine events
 	quarRejected  atomic.Int64 // RPCs refused because the node is quarantined
 	escalations   atomic.Int64 // extra quorum replicas cut after a split vote
-	speculated    atomic.Int64 // speculative straggler replicas cut
 }
 
 // Binding connects the coordinator to the service's durability layer:
@@ -362,7 +325,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, job service.DispatchJob, emi
 	for _, l := range adopted {
 		if l.active {
 			l.deadline = now.Add(c.cfg.LeaseTTL)
-			l.grantedAt = now
 		}
 		l.journaledAt = now
 	}
@@ -423,38 +385,15 @@ func (c *Coordinator) Dispatch(ctx context.Context, job service.DispatchJob, emi
 
 // leaseSizeFor sizes the next range cut for a node: about a third of a
 // lease TTL of work at the node's measured seeds/sec, clamped to
-// [LeaseSeedsMin, LeaseSeedsMax]; nodes without a throughput history get
-// the fixed LeaseSeeds default. Caller holds c.mu.
+// [1, 4×LeaseSeeds]; nodes without a throughput history get LeaseSeeds.
+// Caller holds c.mu.
 func (c *Coordinator) leaseSizeFor(nodeID string) int {
 	n := c.reg.nodes[nodeID]
 	if n == nil || n.rate <= 0 {
 		return c.cfg.LeaseSeeds
 	}
 	m := int(n.rate * (c.cfg.LeaseTTL / 3).Seconds())
-	if m < c.cfg.LeaseSeedsMin {
-		m = c.cfg.LeaseSeedsMin
-	}
-	if m > c.cfg.LeaseSeedsMax {
-		m = c.cfg.LeaseSeedsMax
-	}
-	return m
-}
-
-// sampleHit decides deterministically whether a seed range is quorum-
-// verified under VerifySample, hashing (fingerprint, first seed) so the
-// same job samples the same ranges on every coordinator.
-func (c *Coordinator) sampleHit(fingerprint string, seed0 uint64) bool {
-	if c.cfg.VerifySample >= 1 {
-		return true
-	}
-	h := sha256.New()
-	io.WriteString(h, fingerprint)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], seed0)
-	h.Write(b[:])
-	sum := h.Sum(nil)
-	v := binary.LittleEndian.Uint64(sum[:8])
-	return float64(v)/math.MaxUint64 < c.cfg.VerifySample
+	return max(1, min(m, 4*c.cfg.LeaseSeeds))
 }
 
 // grantLocked hands nodeID its next lease: the oldest eligible pending
@@ -464,7 +403,6 @@ func (c *Coordinator) grantLocked(nodeID string, now time.Time) *lease {
 	deadline := now.Add(c.cfg.LeaseTTL)
 	for {
 		if l := c.lt.next(nodeID, deadline); l != nil {
-			l.grantedAt = now
 			return l
 		}
 		if !c.cutLocked(nodeID) {
@@ -474,9 +412,8 @@ func (c *Coordinator) grantLocked(nodeID string, now time.Time) *lease {
 }
 
 // cutLocked cuts one seed range from the oldest dispatch with backlog into
-// lease replicas (k of them when the range samples into quorum
-// verification, one otherwise), reporting whether anything was cut. Caller
-// holds c.mu.
+// lease replicas (k of them under quorum verification, one otherwise),
+// reporting whether anything was cut. Caller holds c.mu.
 func (c *Coordinator) cutLocked(nodeID string) bool {
 	for _, d := range c.order {
 		if d.done || len(d.backlog) == 0 {
@@ -497,7 +434,7 @@ func (c *Coordinator) cutLocked(nodeID string) bool {
 			}
 		}
 		need, replicas := 1, 1
-		if c.cfg.VerifySeeds >= 2 && c.sampleHit(d.job.Fingerprint, seeds[0]) {
+		if c.cfg.VerifySeeds >= 2 {
 			replicas = c.cfg.VerifySeeds
 			need = replicas/2 + 1
 			d.merge.require(seeds, need)
@@ -550,8 +487,7 @@ func (c *Coordinator) expiryLoop() {
 }
 
 // sweep is one expiry pass: dead nodes first (their leases re-queue
-// immediately, ahead of individual deadlines), then overdue leases, then
-// straggler speculation.
+// immediately, ahead of individual deadlines), then overdue leases.
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -561,46 +497,6 @@ func (c *Coordinator) sweep(now time.Time) {
 		c.requeueAll(orphans, fmt.Sprintf("node %s died", n.id))
 	}
 	c.requeueAll(c.lt.expire(now), "lease deadline expired")
-	if c.cfg.SpeculateFactor > 0 {
-		c.speculateLocked(now)
-	}
-}
-
-// speculateLocked hedges stragglers: an active lease older than
-// SpeculateFactor × its expected duration (range size over the fleet's
-// median seeds/sec, floored at the poll interval) gets one speculative
-// replica for another node to race. First delivery wins; the loser is a
-// counted duplicate whose digest still scores a free reputation verdict.
-// Caller holds c.mu.
-func (c *Coordinator) speculateLocked(now time.Time) {
-	median := c.reg.medianRate()
-	if median <= 0 {
-		return
-	}
-	for _, l := range c.lt.byID {
-		if !l.active || l.speculative || l.speculated || l.group == nil || l.d.done {
-			continue
-		}
-		expected := time.Duration(float64(len(l.seeds)) / median * float64(time.Second))
-		if expected < c.cfg.PollInterval {
-			expected = c.cfg.PollInterval
-		}
-		if float64(now.Sub(l.grantedAt)) <= c.cfg.SpeculateFactor*float64(expected) {
-			continue
-		}
-		l.speculated = true
-		g := l.group
-		g.replicas++
-		clone := &lease{
-			id: leaseID(l.d.job.ID, l.d.nextIdx), d: l.d, seeds: l.seeds,
-			group: g, speculative: true, attempt: l.attempt,
-		}
-		l.d.nextIdx++
-		c.lt.add([]*lease{clone})
-		c.speculated.Add(1)
-		c.logf("fleet: lease %s on node %s is a straggler (%.1fs old, expected ~%.1fs), cut speculative replica %s",
-			l.id, l.node, now.Sub(l.grantedAt).Seconds(), expected.Seconds(), clone.id)
-	}
 }
 
 // requeueAll re-leases a batch, failing any job whose lease ran out of
@@ -645,10 +541,15 @@ func (c *Coordinator) quarantineLocked(n *node, now time.Time, reason string) {
 	}
 }
 
+// quarantineThreshold is the attestation-failure EWMA at which a node is
+// quarantined. The EWMA steps by repAlpha = 0.5 per event, so 0.5
+// quarantines on the first confirmed lie against a clean history.
+const quarantineThreshold = 0.5
+
 // maybeQuarantineLocked quarantines n if its attestation-failure EWMA
 // crossed the threshold. Caller holds c.mu.
 func (c *Coordinator) maybeQuarantineLocked(n *node, now time.Time, reason string) {
-	if n.quarantined(now) || n.attFailEWMA < c.cfg.QuarantineThreshold {
+	if n.quarantined(now) || n.attFailEWMA < quarantineThreshold {
 		return
 	}
 	c.quarantineLocked(n, now, reason)
@@ -691,9 +592,7 @@ func (c *Coordinator) adoptQuarantineLocked(now time.Time) {
 	for id, reason := range c.binding.RecoveredQuarantine() {
 		n := c.reg.ensure(id, now)
 		n.quarUntil = now.Add(c.cfg.Probation)
-		if n.attFailEWMA < c.cfg.QuarantineThreshold {
-			n.attFailEWMA = c.cfg.QuarantineThreshold
-		}
+		n.attFailEWMA = max(n.attFailEWMA, quarantineThreshold)
 		c.logf("fleet: node %s quarantine re-adopted from the journal (%s)", id, reason)
 	}
 }

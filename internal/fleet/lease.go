@@ -25,18 +25,8 @@ type lease struct {
 	active   bool
 
 	// group ties replicas of the same seed range together for quorum
-	// verification and speculative re-execution; nil only in tests that
-	// build bare leases.
+	// verification; nil only in tests that build bare leases.
 	group *seedGroup
-	// grantedAt is when the current owner took the lease (straggler
-	// detection input).
-	grantedAt time.Time
-	// speculative marks a straggler-hedge copy: it must land on a node
-	// other than the one it hedges against.
-	speculative bool
-	// speculated marks a lease that already has a speculative copy in
-	// flight, so the sweep hedges each straggler at most once.
-	speculated bool
 
 	// recovered marks a lease re-adopted from the journal after a
 	// coordinator restart; its deliveries count as late deliveries.
@@ -49,24 +39,24 @@ type lease struct {
 // seedGroup is the shared identity of every replica lease covering one seed
 // range. Unverified ranges have a single-member group (need 1); quorum
 // ranges (-verify-seeds=k) cut k replicas up front (need = k/2+1), and
-// speculation adds replicas later. The group is what enforces replica
+// split votes escalate with more. The group is what enforces replica
 // distinctness: a node holding or having voted on the range is ineligible
 // for further replicas of it.
 type seedGroup struct {
 	seeds       []uint64
-	need        int            // agreeing votes required per seed (1 = first wins)
-	replicas    int            // replica leases cut so far (initial + escalations + speculative)
-	delivered   int            // replicas that delivered results
-	escalations int            // extra replicas cut because a full round of votes did not reach quorum
-	holding     map[string]int // node → live replicas of this range it holds
+	need        int             // agreeing votes required per seed (1 = first wins)
+	replicas    int             // replica leases cut so far (initial + escalations)
+	delivered   int             // replicas that delivered results
+	escalations int             // extra replicas cut because a full round of votes did not reach quorum
+	holding     map[string]int  // node → live replicas of this range it holds
 	voted       map[string]bool // nodes that already delivered for this range
 }
 
-// eligible reports whether the node may take this lease: replicated ranges
-// (quorum or speculative) must spread across distinct nodes.
+// eligible reports whether the node may take this lease: quorum replicas
+// must spread across distinct nodes.
 func (l *lease) eligible(nodeID string) bool {
 	g := l.group
-	if g == nil || (g.need <= 1 && !l.speculative) {
+	if g == nil || g.need <= 1 {
 		return true
 	}
 	return g.holding[nodeID] == 0 && !g.voted[nodeID]

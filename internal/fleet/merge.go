@@ -39,9 +39,9 @@ type merge struct {
 	next     int // first position not yet released
 	received int // distinct seeds merged so far
 
-	need    []int             // votes required to admit (0/1 = first delivery wins)
-	winner  []string          // admitted payload's digest ("" if admitted without one)
-	votes   []map[string]string            // node → digest, pre-admission (quorum seeds)
+	need    []int                           // votes required to admit (0/1 = first delivery wins)
+	winner  []string                        // admitted payload's digest ("" if admitted without one)
+	votes   []map[string]string             // node → digest, pre-admission (quorum seeds)
 	payload []map[string]service.SeedResult // digest → first payload carrying it
 }
 
@@ -127,7 +127,7 @@ func (m *merge) add(node string, results []service.SeedResult, digests []string)
 		if m.got[pos] != nil {
 			// Already admitted: idempotent discard, plus a free agreement
 			// check when both sides have digests (late deliveries from
-			// re-leased or speculative copies score reputation at no cost).
+			// re-leased copies or surplus replicas score reputation at no cost).
 			out.dups++
 			if digest != "" && m.winner[pos] != "" {
 				out.verdicts = append(out.verdicts, verdict{node, r.Seed, digest == m.winner[pos]})

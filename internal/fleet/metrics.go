@@ -142,9 +142,6 @@ func (c *Coordinator) WriteMetrics(w io.Writer) error {
 	p("# HELP simd_fleet_auth_failures_total RPCs rejected by the shared-secret HMAC check.\n")
 	p("# TYPE simd_fleet_auth_failures_total counter\n")
 	p("simd_fleet_auth_failures_total %d\n", c.authFailures.Load())
-	p("# HELP simd_fleet_speculative_leases_total Speculative straggler replicas cut.\n")
-	p("# TYPE simd_fleet_speculative_leases_total counter\n")
-	p("simd_fleet_speculative_leases_total %d\n", c.speculated.Load())
 	return err
 }
 

@@ -29,9 +29,6 @@ type spool struct {
 }
 
 func newSpool(capacity int) *spool {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &spool{cap: capacity}
 }
 

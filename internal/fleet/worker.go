@@ -28,10 +28,6 @@ type WorkerConfig struct {
 	// SimWorkers is the engine worker count per lease trial. Default 1, so
 	// a fully loaded node's CPU use is governed by Slots alone.
 	SimWorkers int
-	// PollInterval / HeartbeatInterval override the cadence the coordinator
-	// advertises at registration. 0 = use the advertised values.
-	PollInterval      time.Duration
-	HeartbeatInterval time.Duration
 	// Client overrides the RPC client (tests). Nil builds one from
 	// Coordinator; the service client's retry/backoff applies to every
 	// fleet RPC, which are all idempotent by construction.
@@ -53,14 +49,18 @@ type WorkerConfig struct {
 	// retries); result deliveries get twice this. Default 10s.
 	RPCTimeout time.Duration
 	// BreakerThreshold is how many consecutive unanswered RPCs open the
-	// circuit breaker (default 5); BreakerCooldown is how long it stays open
-	// before admitting a half-open probe (default 3s).
+	// circuit breaker (default 5). It stays open for breakerCooldown before
+	// admitting a half-open probe.
 	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// SpoolCap bounds the queue of computed-but-undelivered result reports
-	// kept for redelivery when the coordinator heals. Default 256.
-	SpoolCap int
 }
+
+// breakerCooldown is how long an open circuit breaker fails fast before it
+// admits a half-open probe; spoolCap bounds the queue of computed but
+// undelivered result reports kept for redelivery when the coordinator heals.
+const (
+	breakerCooldown = 3 * time.Second
+	spoolCap        = 256
+)
 
 // Worker is the execution side of the fleet: it registers with the
 // coordinator, polls for leases when it has a free slot, executes each
@@ -124,8 +124,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cancel:  cancel,
 		running: make(map[string]context.CancelFunc),
 		id:      cfg.NodeID,
-		brk:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		sp:      newSpool(cfg.SpoolCap),
+		brk:     newBreaker(cfg.BreakerThreshold, breakerCooldown),
+		sp:      newSpool(spoolCap),
 		healCh:  make(chan struct{}, 1),
 	}
 }
@@ -251,17 +251,11 @@ func (w *Worker) register() bool {
 		if err == nil {
 			w.mu.Lock()
 			w.id = resp.NodeID
-			w.pollIv = w.cfg.PollInterval
-			if w.pollIv <= 0 {
-				w.pollIv = time.Duration(resp.PollMS) * time.Millisecond
-			}
+			w.pollIv = time.Duration(resp.PollMS) * time.Millisecond
 			if w.pollIv <= 0 {
 				w.pollIv = 500 * time.Millisecond
 			}
-			w.hbIv = w.cfg.HeartbeatInterval
-			if w.hbIv <= 0 {
-				w.hbIv = time.Duration(resp.HeartbeatMS) * time.Millisecond
-			}
+			w.hbIv = time.Duration(resp.HeartbeatMS) * time.Millisecond
 			if w.hbIv <= 0 {
 				w.hbIv = 5 * time.Second
 			}

@@ -50,6 +50,10 @@ type MultinomialDist struct {
 	jointVecs []uint8
 	jointW    []float64
 	jointOK   bool
+	// invFact and cur are PrecomputeJoint scratch, kept so the per-round
+	// rebuild allocates nothing once their capacity has grown.
+	invFact []float64
+	cur     []uint8
 }
 
 // Init prepares the sampler for Multinomial(n, probs). The probabilities
@@ -216,33 +220,42 @@ func (d *MultinomialDist) PrecomputeJoint(maxSupport int) bool {
 	d.jointW = d.jointW[:0]
 	// invFact[c] = 1/c!; the pmf n!·∏ pᵢ^cᵢ/cᵢ! only needs relative weights,
 	// so the common n! factor is dropped.
-	invFact := make([]float64, d.n+1)
-	invFact[0] = 1
+	if cap(d.invFact) < d.n+1 {
+		d.invFact = make([]float64, d.n+1)
+	}
+	d.invFact = d.invFact[:d.n+1]
+	d.invFact[0] = 1
 	for c := 1; c <= d.n; c++ {
-		invFact[c] = invFact[c-1] / float64(c)
+		d.invFact[c] = d.invFact[c-1] / float64(c)
 	}
-	cur := make([]uint8, d.k)
-	var walk func(comp int, left int, weight float64)
-	walk = func(comp int, left int, weight float64) {
-		if comp == d.k-1 {
-			cur[comp] = uint8(left)
-			d.jointVecs = append(d.jointVecs, cur...)
-			d.jointW = append(d.jointW, weight*pow(d.probs[comp], left)*invFact[left])
-			return
-		}
-		w := weight
-		for c := 0; c <= left; c++ {
-			cur[comp] = uint8(c)
-			walk(comp+1, left-c, w*invFact[c])
-			w *= d.probs[comp]
-		}
+	if cap(d.cur) < d.k {
+		d.cur = make([]uint8, d.k)
 	}
-	walk(0, d.n, 1)
+	d.cur = d.cur[:d.k]
+	d.walkJoint(0, d.n, 1)
 	if err := d.joint.Init(d.jointW); err != nil {
 		return false
 	}
 	d.jointOK = true
 	return true
+}
+
+// walkJoint enumerates the compositions of left into components comp..k-1
+// in lexicographic order, appending each count vector and its relative pmf
+// weight (weight carries the factors of the components already fixed).
+func (d *MultinomialDist) walkJoint(comp, left int, weight float64) {
+	if comp == d.k-1 {
+		d.cur[comp] = uint8(left)
+		d.jointVecs = append(d.jointVecs, d.cur...)
+		d.jointW = append(d.jointW, weight*pow(d.probs[comp], left)*d.invFact[left])
+		return
+	}
+	w := weight
+	for c := 0; c <= left; c++ {
+		d.cur[comp] = uint8(c)
+		d.walkJoint(comp+1, left-c, w*d.invFact[c])
+		w *= d.probs[comp]
+	}
 }
 
 // pow is xⁿ by repeated multiplication: n is a small trial count, and the

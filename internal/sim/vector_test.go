@@ -689,6 +689,39 @@ func TestVecEligibility(t *testing.T) {
 	}
 }
 
+// TestVecKaryRoundAllocFree: once warm, a round on the k-ary joint vector
+// path allocates nothing, although it rebuilds the round's joint
+// multinomial alias table (Init + PrecomputeJoint) every round.
+func TestVecKaryRoundAllocFree(t *testing.T) {
+	r, err := sim.New(sim.Config{
+		N: 500, H: 16, Sources1: 10, Sources0: 3,
+		Noise:     uniformNoise(t, 4, 0.05),
+		Protocol:  protocol.NewSSF(),
+		Seed:      5,
+		Workers:   1,
+		Backend:   sim.BackendAggregate,
+		MaxRounds: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !r.Vectorized() {
+		t.Fatal("expected the vectorized path")
+	}
+	step := func() {
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("steady-state k-ary vector round: %v allocs, want 0", allocs)
+	}
+}
+
 // TestVecAgentWeakOpinion: the weak-opinion accessor must work on every
 // vectorized population whose protocol forms one — including the k-ary SSF
 // population and graph-topology runs — and report ok = false (not a silent
