@@ -59,7 +59,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		addr       = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		queue      = fs.Int("queue", 16, "job queue capacity (submissions beyond it get 429)")
 		workers    = fs.Int("workers", 0, "scheduler workers executing jobs (0 = GOMAXPROCS)")
-		simWorkers = fs.Int("sim-workers", 1, "engine goroutines per simulation")
 		ttl        = fs.Duration("ttl", time.Hour, "how long finished jobs stay queryable")
 		maxSeeds   = fs.Int("max-seeds", 1024, "maximum seeds per job")
 		drain      = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline before in-flight jobs are cancelled")
@@ -134,7 +133,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Service: service.Config{
 			QueueCapacity:    *queue,
 			Workers:          *workers,
-			SimWorkers:       *simWorkers,
 			ResultTTL:        *ttl,
 			MaxSeedsPerJob:   *maxSeeds,
 			JournalDir:       *journalDir,
@@ -176,7 +174,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Coordinator: *join,
 			NodeID:      *nodeID,
 			Slots:       *slots,
-			SimWorkers:  *simWorkers,
 			Client:      client,
 			Secret:      *fleetSecret,
 			Lie:         liarHook(liar),

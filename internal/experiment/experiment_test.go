@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,6 +105,67 @@ func TestRunTrialsAggregation(t *testing.T) {
 	w := batch.Wilson95()
 	if w.Lo > w.Estimate || w.Hi < w.Estimate {
 		t.Fatalf("Wilson interval %v does not bracket", w)
+	}
+}
+
+// TestRunTrialsParallelInvariance: the synchronous and asynchronous trial
+// loops return identical batches at any parallelism. makeCfg alternates
+// between two noise matrices by seed parity, so a goroutine both rewinds its
+// runner (same matrix as its previous trial) and rebuilds it (different
+// matrix).
+func TestRunTrialsParallelInvariance(t *testing.T) {
+	const trials = 12
+	opts := Options{Seed: 7}
+	same, differ := false, false
+	for i := 1; i < trials; i++ {
+		if trialSeed(opts.Seed, 0, i)%2 == trialSeed(opts.Seed, 0, i-1)%2 {
+			same = true
+		} else {
+			differ = true
+		}
+	}
+	if !same || !differ {
+		t.Fatal("seed parities do not exercise both the Reset and the rebuild branch")
+	}
+	var nms [2]*noise.Matrix
+	for i, delta := range []float64{0.1, 0.2} {
+		nm, err := noise.Uniform(2, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nms[i] = nm
+	}
+	// Majority-rule outcomes vary widely by seed, so a trial run under the
+	// wrong seed or matrix changes the batch.
+	makeCfg := func(seed uint64) sim.Config {
+		return sim.Config{
+			N: 200, H: 16, Sources1: 1,
+			Noise:           nms[seed%2],
+			Protocol:        protocol.MajorityRule{},
+			Seed:            seed,
+			MaxRounds:       400,
+			StabilityWindow: 5,
+		}
+	}
+	for _, loop := range []struct {
+		name string
+		run  func(Options, int, int, func(uint64) sim.Config) (*trialBatch, error)
+	}{{"sync", runTrials}, {"async", runAsyncTrials}} {
+		t.Run(loop.name, func(t *testing.T) {
+			var batches [2]*trialBatch
+			for i, parallel := range []int{1, 3} {
+				o := opts
+				o.Parallel = parallel
+				b, err := loop.run(o, 0, trials, makeCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batches[i] = b
+			}
+			if !reflect.DeepEqual(batches[0], batches[1]) {
+				t.Fatalf("Parallel 1 gave %+v, Parallel 3 gave %+v", batches[0], batches[1])
+			}
+		})
 	}
 }
 

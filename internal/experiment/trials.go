@@ -1,10 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"noisypull/internal/rng"
 	"noisypull/internal/sim"
@@ -63,64 +62,55 @@ func (b *trialBatch) Wilson95() stats.Proportion {
 // keeping total CPU use at the configured level while staying fully
 // deterministic (each trial's behaviour depends only on its seed).
 //
-// Each worker goroutine keeps one runner and rewinds it with Reset between
-// trials whenever consecutive configurations are identical up to the seed
-// (the common case: grid-point closures reuse their noise matrix, protocol,
-// and topology), so the experiment grids do not pay population construction
-// and channel building per trial. Configurations that genuinely differ (for
+// Each goroutine keeps one runner and rewinds it with Reset between trials
+// whenever consecutive configurations are identical up to the seed (the
+// common case: grid-point closures reuse their noise matrix, protocol, and
+// topology), so the experiment grids do not pay population construction and
+// channel building per trial. Configurations that genuinely differ (for
 // example per-trial random graphs) fall back to a fresh runner.
 func runTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
+	reset := func(r *sim.Runner, seed uint64) error { r.Reset(seed); return nil }
+	return runTrialsOn(opts, gridPoint, trials, makeCfg, sim.New, reset, "trial")
+}
+
+// runAsyncTrials is runTrials for the asynchronous scheduler (sim.NewAsync).
+func runAsyncTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
+	return runTrialsOn(opts, gridPoint, trials, makeCfg, sim.NewAsync, (*sim.AsyncRunner).Reset, "async trial")
+}
+
+// runTrialsOn is the trial loop behind runTrials and runAsyncTrials: build
+// constructs a goroutine's runner, reset rewinds it for a compatible
+// configuration, and what names a trial in errors.
+func runTrialsOn[R interface {
+	RunContext(context.Context) (*sim.Result, error)
+}](opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config,
+	build func(sim.Config) (R, error), reset func(R, uint64) error, what string) (*trialBatch, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("experiment: trials = %d", trials)
 	}
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > trials {
-		parallel = trials
-	}
-
 	ctx := opts.ctx()
 	results := make([]*sim.Result, trials)
 	errs := make([]error, trials)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var runner *sim.Runner
-			var runnerCfg sim.Config
-			for t := range next {
-				cfg := makeCfg(trialSeed(opts.Seed, gridPoint, t))
-				cfg.Workers = 1
-				if runner != nil && runnerCfg.ResetCompatible(&cfg) {
-					runner.Reset(cfg.Seed)
-				} else {
-					var err error
-					if runner, err = sim.New(cfg); err != nil {
-						errs[t] = err
-						runner = nil
-						continue
-					}
-					runnerCfg = cfg
-				}
-				results[t], errs[t] = runner.RunContext(ctx)
+	sim.ForEachTrial(ctx, opts.Parallel, trials, func() func(int) {
+		var runner R
+		var runnerCfg sim.Config
+		built := false
+		return func(t int) {
+			cfg := makeCfg(trialSeed(opts.Seed, gridPoint, t))
+			cfg.Workers = 1
+			var err error
+			if built && runnerCfg.ResetCompatible(&cfg) {
+				err = reset(runner, cfg.Seed)
+			} else if runner, err = build(cfg); err == nil {
+				runnerCfg = cfg
 			}
-		}()
-	}
-	done := ctx.Done()
-feed:
-	for t := 0; t < trials; t++ {
-		select {
-		case next <- t:
-		case <-done:
-			break feed
+			built = err == nil
+			if built {
+				results[t], err = runner.RunContext(ctx)
+			}
+			errs[t] = err
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -128,7 +118,7 @@ feed:
 	batch := &trialBatch{Trials: trials}
 	for t := 0; t < trials; t++ {
 		if errs[t] != nil {
-			return nil, fmt.Errorf("experiment: trial %d: %w", t, errs[t])
+			return nil, fmt.Errorf("experiment: %s %d: %w", what, t, errs[t])
 		}
 		res := results[t]
 		batch.Durations = append(batch.Durations, float64(res.Rounds))
@@ -162,82 +152,4 @@ func runTrialsRaw(opts Options, gridPoint, trials int, cfg sim.Config) ([]*sim.R
 // lnF returns the natural log of n as a float64.
 func lnF(n int) float64 {
 	return math.Log(float64(n))
-}
-
-// runAsyncTrials is runTrials for the asynchronous scheduler (sim.NewAsync).
-// Like runTrials, each worker goroutine keeps one runner and rewinds it with
-// Reset between trials whenever consecutive configurations are identical up
-// to the seed, avoiding per-trial population construction.
-func runAsyncTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("experiment: trials = %d", trials)
-	}
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > trials {
-		parallel = trials
-	}
-
-	ctx := opts.ctx()
-	results := make([]*sim.Result, trials)
-	errs := make([]error, trials)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var runner *sim.AsyncRunner
-			var runnerCfg sim.Config
-			for t := range next {
-				cfg := makeCfg(trialSeed(opts.Seed, gridPoint, t))
-				if runner != nil && runnerCfg.ResetCompatible(&cfg) {
-					if err := runner.Reset(cfg.Seed); err != nil {
-						errs[t] = err
-						runner = nil
-						continue
-					}
-				} else {
-					var err error
-					if runner, err = sim.NewAsync(cfg); err != nil {
-						errs[t] = err
-						runner = nil
-						continue
-					}
-					runnerCfg = cfg
-				}
-				results[t], errs[t] = runner.RunContext(ctx)
-			}
-		}()
-	}
-	done := ctx.Done()
-feed:
-	for t := 0; t < trials; t++ {
-		select {
-		case next <- t:
-		case <-done:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	batch := &trialBatch{Trials: trials}
-	for t := 0; t < trials; t++ {
-		if errs[t] != nil {
-			return nil, fmt.Errorf("experiment: async trial %d: %w", t, errs[t])
-		}
-		res := results[t]
-		batch.Durations = append(batch.Durations, float64(res.Rounds))
-		if res.Converged {
-			batch.Successes++
-			batch.Recoveries = append(batch.Recoveries, float64(res.FirstAllCorrect))
-		}
-	}
-	return batch, nil
 }

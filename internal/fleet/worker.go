@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"noisypull"
 	"noisypull/internal/buildinfo"
 	"noisypull/internal/service"
 )
@@ -23,11 +22,10 @@ type WorkerConfig struct {
 	// NodeID is the node's stable identity; empty lets the coordinator
 	// assign one on first registration.
 	NodeID string
-	// Slots is how many leases run concurrently. Default GOMAXPROCS.
+	// Slots is how many leases run concurrently, each on a single-threaded
+	// engine, so a fully loaded node's CPU use is governed by Slots alone.
+	// Default GOMAXPROCS.
 	Slots int
-	// SimWorkers is the engine worker count per lease trial. Default 1, so
-	// a fully loaded node's CPU use is governed by Slots alone.
-	SimWorkers int
 	// Client overrides the RPC client (tests). Nil builds one from
 	// Coordinator; the service client's retry/backoff applies to every
 	// fleet RPC, which are all idempotent by construction.
@@ -64,10 +62,10 @@ const (
 
 // Worker is the execution side of the fleet: it registers with the
 // coordinator, polls for leases when it has a free slot, executes each
-// lease's seed range on a local runner (reused across the range's seeds —
-// the RunBatch amortization), heartbeats while busy, and posts results
-// back. It never receives population data; every lease is regenerated
-// locally from (spec, seeds).
+// lease's seed range through service.RunSeeds (one runner per lease,
+// rewound with Reset between its seeds), heartbeats while busy, and posts
+// results back. It never receives population data; every lease is
+// regenerated locally from (spec, seeds).
 type Worker struct {
 	cfg    WorkerConfig
 	client *service.Client
@@ -105,9 +103,6 @@ type Worker struct {
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Slots <= 0 {
 		cfg.Slots = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SimWorkers <= 0 {
-		cfg.SimWorkers = 1
 	}
 	client := cfg.Client
 	if client == nil {
@@ -385,11 +380,10 @@ func (w *Worker) interval(field *time.Duration) time.Duration {
 	return 500 * time.Millisecond
 }
 
-// runLease executes one lease's seed range on a single runner (built once,
-// Reset per seed — deterministic, so results are bit-identical to any other
-// node's run of the same range) and reports the outcome. An abandoned lease
-// (worker closed, or the coordinator cancelled it) reports nothing; the
-// coordinator's deadline machinery owns that case.
+// runLease executes one lease's seed range (deterministic, so results are
+// bit-identical to any other node's run of the same range) and reports the
+// outcome. An abandoned lease (worker closed, or the coordinator cancelled
+// it) reports nothing; the coordinator's deadline machinery owns that case.
 func (w *Worker) runLease(wl *WireLease) {
 	w.busy.Add(1)
 	defer w.busy.Add(-1)
@@ -427,43 +421,19 @@ func (w *Worker) runLease(wl *WireLease) {
 	w.report(req)
 }
 
-// execute runs every seed of the lease. Engine/protocol panics are
-// recovered into the lease's error — a poisonous spec fails its job on the
-// coordinator instead of killing fleet nodes one by one.
-func (w *Worker) execute(ctx context.Context, wl *WireLease) (results []service.SeedResult, err error) {
-	var runner *noisypull.Runner
-	defer func() {
-		if runner != nil {
-			runner.Close()
-		}
-		if p := recover(); p != nil {
-			results, err = nil, fmt.Errorf("panic in protocol/engine: %v", p)
-		}
-	}()
-
+// execute runs every seed of the lease. service.RunSeeds recovers
+// engine/protocol panics into the lease's error — a poisonous spec fails its
+// job on the coordinator instead of killing fleet nodes one by one.
+func (w *Worker) execute(ctx context.Context, wl *WireLease) ([]service.SeedResult, error) {
 	cfg, err := wl.Spec.Build()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Workers = w.cfg.SimWorkers
-
-	for i, seed := range wl.Seeds {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if runner == nil {
-			cfg.Seed = seed
-			if runner, err = noisypull.NewRunner(cfg); err != nil {
-				return nil, err
-			}
-		} else {
-			runner.Reset(seed)
-		}
-		res, err := runner.RunContext(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("seed %d (%d/%d of lease %s): %w", seed, i+1, len(wl.Seeds), wl.ID, err)
-		}
-		results = append(results, service.MakeSeedResult(seed, res))
+	var results []service.SeedResult
+	err = service.RunSeeds(ctx, cfg, wl.Seeds, nil, func(sr service.SeedResult) { results = append(results, sr) })
+	if err != nil {
+		i := len(results) // the seed that failed
+		return nil, fmt.Errorf("seed %d (%d/%d of lease %s): %w", wl.Seeds[i], i+1, len(wl.Seeds), wl.ID, err)
 	}
 	return results, nil
 }

@@ -40,7 +40,7 @@ var (
 //
 // Matrix and Channel are immutable after construction, so runners whose
 // configurations carry content-equal channels (a RunBatch fleet sharing
-// pointers, service runner leases holding distinct but equal matrices) all
+// pointers, service jobs holding distinct but equal matrices) all
 // receive the same instances instead of each rebuilding the composition and
 // its alias tables.
 func SharedChannel(n, artificial *Matrix) (*Matrix, *Channel, error) {

@@ -32,7 +32,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 		Service: service.Config{
 			QueueCapacity: 4,
 			Workers:       2,
-			SimWorkers:    1,
 			ResultTTL:     time.Hour,
 		},
 		DrainTimeout: 500 * time.Millisecond,

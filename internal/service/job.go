@@ -94,10 +94,9 @@ const subscriberBuffer = 1024
 
 // job is the service's internal mutable record of one submission.
 type job struct {
-	id    string
-	spec  JobSpec
-	shape shapeKey
-	cfg   noisypull.Config // built at submission; Seed filled per trial
+	id   string
+	spec JobSpec
+	cfg  noisypull.Config // built at submission; Seed filled per trial
 
 	ctx    context.Context
 	cancel context.CancelFunc

@@ -634,13 +634,11 @@ func (s *Service) resubmit(rj *recoveredJob) bool {
 		lost(err.Error())
 		return false
 	}
-	cfg.Workers = s.cfg.SimWorkers
 
 	banked, leases := rj.fleetState()
 	j := &job{
 		id:          rj.id,
 		spec:        spec,
-		shape:       spec.shape(),
 		cfg:         cfg,
 		state:       StatePending,
 		created:     time.Now(),

@@ -1,8 +1,8 @@
 // Package service turns the simulation engine into a long-running
 // simulation-as-a-service subsystem: a bounded job queue with backpressure,
-// a scheduler whose workers lease reusable noisypull.Runners across jobs
-// (the RunBatch amortization, extended to a daemon's lifetime), a per-job
-// state machine (pending → running → done/failed/cancelled) with context
+// a scheduler whose workers run each job's seeds through RunSeeds (one
+// runner per job, rewound with Reset between seeds), a per-job state
+// machine (pending → running → done/failed/cancelled) with context
 // cancellation threaded into the engine's round loop, an in-memory result
 // store with TTL eviction, and streaming round-level progress. cmd/simd
 // exposes it over HTTP; Client is the matching Go client.
@@ -42,13 +42,10 @@ type Config struct {
 	// beyond it are rejected with ErrQueueFull (backpressure, not buffering).
 	// Default 16.
 	QueueCapacity int
-	// Workers is the number of scheduler goroutines executing jobs (each
-	// holds at most one leased runner). Default GOMAXPROCS.
+	// Workers is the number of scheduler goroutines executing jobs, each
+	// running one job at a time on a single-threaded engine, so a loaded
+	// daemon's CPU use is governed by Workers alone. Default GOMAXPROCS.
 	Workers int
-	// SimWorkers is the engine worker count per simulation. Default 1, so a
-	// loaded daemon's CPU use is governed by Workers alone; raise it for
-	// latency-sensitive single-job deployments.
-	SimWorkers int
 	// ResultTTL is how long a terminal job remains queryable before the
 	// janitor evicts it. Default 1h.
 	ResultTTL time.Duration
@@ -68,7 +65,7 @@ type Config struct {
 	CheckpointRounds int
 	// Dispatcher, when non-nil, replaces local seed execution: scheduler
 	// workers hand each job's remaining seeds to it instead of running them
-	// on a leased runner. The fleet coordinator implements it to fan seeds
+	// through RunSeeds. The fleet coordinator implements it to fan seeds
 	// out across worker nodes; everything around the dispatch — queueing,
 	// backpressure, the job state machine, journaling, recovery, streams,
 	// and the watchdog — is shared with the local path.
@@ -121,9 +118,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Workers <= 0 {
 		out.Workers = runtime.GOMAXPROCS(0)
-	}
-	if out.SimWorkers <= 0 {
-		out.SimWorkers = 1
 	}
 	if out.ResultTTL <= 0 {
 		out.ResultTTL = time.Hour
@@ -311,7 +305,6 @@ func (s *Service) Submit(spec JobSpec) (*JobStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Workers = s.cfg.SimWorkers
 
 	s.mu.Lock()
 	if s.draining {
@@ -322,7 +315,6 @@ func (s *Service) Submit(spec JobSpec) (*JobStatus, error) {
 	j := &job{
 		id:      fmt.Sprintf("j-%06d", s.nextID),
 		spec:    spec,
-		shape:   spec.shape(),
 		cfg:     cfg,
 		state:   StatePending,
 		created: time.Now(),
@@ -445,37 +437,19 @@ func (s *Service) lookup(id string) (*job, error) {
 // QueueDepth reports the number of jobs waiting for a worker.
 func (s *Service) QueueDepth() int { return len(s.queue) }
 
-// lease is a scheduler worker's cached runner: rebuilt only when the next
-// job's shape differs, rewound with Reset otherwise.
-type lease struct {
-	runner *noisypull.Runner
-	shape  shapeKey
-	ok     bool
-}
-
-func (l *lease) drop() {
-	if l.runner != nil {
-		l.runner.Close()
-		l.runner = nil
-	}
-	l.ok = false
-}
-
 // worker executes jobs off the queue until the queue closes (drain).
 func (s *Service) worker() {
 	defer s.workers.Done()
-	var l lease
-	defer l.drop()
 	for j := range s.queue {
-		s.runJob(j, &l)
+		s.runJob(j)
 	}
 }
 
-// runJob drives one job through its seeds on the worker's leased runner. A
-// recovered job re-enters here with its journaled results preloaded: the
-// completed prefix of the seed list is skipped, and the first remaining seed
-// restores from the job's checkpoint when one was journaled.
-func (s *Service) runJob(j *job, l *lease) {
+// runJob drives one job through its remaining seeds. A recovered job
+// re-enters here with its journaled results preloaded: the completed prefix
+// of the seed list is skipped, and the first remaining seed restores from
+// the job's checkpoint when one was journaled.
+func (s *Service) runJob(j *job) {
 	j.mu.Lock()
 	if j.state != StatePending { // cancelled while queued
 		j.mu.Unlock()
@@ -493,7 +467,7 @@ func (s *Service) runJob(j *job, l *lease) {
 
 	// Stuck-job watchdog: a job exceeding its wall-clock budget is cancelled
 	// and finalized as failed — a runaway spec must not pin a scheduler
-	// worker (and its runner lease) forever.
+	// worker forever.
 	if ms := j.spec.MaxWallMS; ms > 0 {
 		timer := time.AfterFunc(time.Duration(ms)*time.Millisecond, func() {
 			if j.watchdog.CompareAndSwap(false, true) {
@@ -509,7 +483,7 @@ func (s *Service) runJob(j *job, l *lease) {
 	if s.cfg.Dispatcher != nil {
 		runErr = s.runDispatched(j, start)
 	} else {
-		runErr = s.runLocal(j, l, start)
+		runErr = s.runLocal(j, start)
 	}
 	if runErr != nil && j.ctx.Err() == nil {
 		s.finalize(j, StateFailed, runErr.Error())
@@ -532,23 +506,48 @@ func (s *Service) runJob(j *job, l *lease) {
 }
 
 // runLocal is the single-node execution path: the job's remaining seeds run
-// in order on the scheduler worker's leased runner. A seed error is returned
-// (the job fails); cancellation surfaces as a nil return with j.ctx done.
-func (s *Service) runLocal(j *job, l *lease, start int) error {
-	for _, seed := range j.spec.Seeds[start:] {
-		if j.ctx.Err() != nil {
-			return nil
-		}
-		res, err := s.runSeed(j, l, seed)
-		if err != nil {
-			if j.ctx.Err() != nil {
-				return nil // cancelled (watchdog or drain deadline); caller finalizes
+// in order through RunSeeds. prepare resumes a recovered job from its
+// journaled checkpoint and wires the runner's rounds, faults and checkpoints
+// into the job's stream, the metrics and the journal. A seed error is
+// returned (the job fails); runJob reads cancellation from j.ctx.
+func (s *Service) runLocal(j *job, start int) error {
+	prepare := func(r *noisypull.Runner, seed uint64) {
+		// A recovered job restores its journaled checkpoint into the rewound
+		// runner, skipping the rounds that already ran before the crash. A
+		// restore failure is not fatal: the engine is deterministic, so
+		// rerunning the seed from round zero reproduces the identical
+		// trajectory — the checkpoint is an optimization, not a correctness
+		// dependency.
+		if rs := j.resume; rs != nil && rs.seed == seed {
+			j.resume = nil
+			if err := r.Restore(rs.data); err != nil {
+				s.logf("job %s: checkpoint restore failed, rerunning seed %d from round 0: %v", j.id, seed, err)
+				r.Reset(seed) // a failed Restore leaves unspecified state
+			} else {
+				s.metrics.rounds.Add(int64(rs.round))
 			}
-			return err
 		}
-		s.commitSeed(j, MakeSeedResult(seed, res))
+		r.SetOnRound(func(round, correct int) {
+			s.metrics.rounds.Add(1)
+			j.publish(Event{Type: "round", Seed: seed, Round: round, Correct: correct})
+		})
+		r.SetOnFault(func(rec noisypull.FaultRecord) {
+			s.metrics.faults.Add(1)
+			j.publish(Event{Type: "fault", Seed: seed, Round: rec.Round, Kind: rec.Kind.String(), Affected: rec.Affected})
+		})
+		if every := j.spec.CheckpointRounds; every > 0 && s.journal != nil {
+			r.SetCheckpoint(every, func(round int, data []byte) {
+				s.metrics.checkpoints.Add(1)
+				s.metrics.checkpointBytes.Store(int64(len(data)))
+				s.journal.appendCheckpoint(j.id, seed, round, data, j.seq.Load())
+			})
+		}
 	}
-	return nil
+	err := RunSeeds(j.ctx, j.cfg, j.spec.Seeds[start:], prepare, func(sr SeedResult) { s.commitSeed(j, sr) })
+	if errors.Is(err, errPanic) {
+		s.metrics.panics.Add(1)
+	}
+	return err
 }
 
 // runDispatched hands the job's remaining seeds to the configured Dispatcher
@@ -568,15 +567,11 @@ func (s *Service) runDispatched(j *job, start int) error {
 	}
 	// Recovery state is consumed by the first dispatch only, like resume.
 	j.fleetBanked, j.fleetLeases = nil, nil
-	err := s.cfg.Dispatcher.Dispatch(j.ctx, dj, func(sr SeedResult) {
+	return s.cfg.Dispatcher.Dispatch(j.ctx, dj, func(sr SeedResult) {
 		s.metrics.rounds.Add(int64(sr.Rounds))
 		s.metrics.faults.Add(int64(len(sr.Faults)))
 		s.commitSeed(j, sr)
 	})
-	if err != nil && j.ctx.Err() != nil {
-		return nil // cancellation/watchdog; caller finalizes from j.ctx
-	}
-	return err
 }
 
 // commitSeed records one finished trial: result store, progress stream,
@@ -590,8 +585,7 @@ func (s *Service) commitSeed(j *job, sr SeedResult) {
 	s.journal.appendSeed(j.id, sr.Seed, &sr, seq)
 }
 
-// MakeSeedResult converts an engine result into the wire form. Exported for
-// the fleet worker, which executes leases outside the scheduler.
+// MakeSeedResult converts an engine result into the wire form.
 func MakeSeedResult(seed uint64, res *noisypull.Result) SeedResult {
 	sr := SeedResult{
 		Seed:            seed,
@@ -613,74 +607,55 @@ func MakeSeedResult(seed uint64, res *noisypull.Result) SeedResult {
 	return sr
 }
 
-// runSeed executes one trial on the worker's leased runner. Panics from
-// protocol or engine code are recovered and surfaced as the trial's error,
-// so a misbehaving job fails alone instead of taking down its scheduler
-// worker (and with it the daemon's capacity). The recovered runner is
-// dropped — its mid-round state is arbitrary. Recovery covers the engine's
-// synchronous path, which is how service jobs run (SimWorkers defaults
-// to 1).
-func (s *Service) runSeed(j *job, l *lease, seed uint64) (res *noisypull.Result, err error) {
+// errPanic marks a RunSeeds error recovered from a panic in protocol or
+// engine code.
+var errPanic = errors.New("panic in protocol/engine")
+
+// RunSeeds runs cfg once per seed, in order, on one runner: built for the
+// first seed, rewound with Reset for each later one, and closed on return.
+// The scheduler's local path and the fleet worker both execute seeds here.
+// prepare, if non-nil, runs before each seed on the rewound runner; emit
+// receives each seed's result as it finishes. RunSeeds stops at the first
+// seed error and returns it; once ctx is cancelled it starts no further
+// seed and returns ctx.Err().
+//
+// The engine runs on the calling goroutine (cfg.Workers is pinned to 1), so
+// a panic in protocol or engine code is recovered into an error instead of
+// taking down the process: a misbehaving job fails alone.
+func RunSeeds(ctx context.Context, cfg noisypull.Config, seeds []uint64,
+	prepare func(r *noisypull.Runner, seed uint64), emit func(SeedResult)) (err error) {
+	cfg.Workers = 1
+	var runner *noisypull.Runner
 	defer func() {
 		if p := recover(); p != nil {
-			l.drop()
-			s.metrics.panics.Add(1)
-			res, err = nil, fmt.Errorf("panic in protocol/engine: %v", p)
+			err = fmt.Errorf("%w: %v", errPanic, p)
+		}
+		if runner != nil {
+			runner.Close()
 		}
 	}()
-	if l.ok && l.shape == j.shape {
-		l.runner.Reset(seed)
-	} else {
-		l.drop()
-		cfg := j.cfg
-		cfg.Seed = seed
-		runner, err := noisypull.NewRunner(cfg)
-		if err != nil {
-			return nil, err
+	for _, seed := range seeds {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		l.runner, l.shape, l.ok = runner, j.shape, true
-	}
-
-	// A recovered job restores its journaled checkpoint into the fresh (or
-	// rewound) runner, skipping the rounds that already ran before the
-	// crash. A restore failure is not fatal: the engine is deterministic, so
-	// rerunning the seed from round zero reproduces the identical trajectory
-	// — the checkpoint is an optimization, not a correctness dependency.
-	if rs := j.resume; rs != nil && rs.seed == seed {
-		j.resume = nil
-		if restoreErr := l.runner.Restore(rs.data); restoreErr != nil {
-			s.logf("job %s: checkpoint restore failed, rerunning seed %d from round 0: %v", j.id, seed, restoreErr)
-			l.runner.Reset(seed) // a failed Restore leaves unspecified state
+		if runner == nil {
+			cfg.Seed = seed
+			if runner, err = noisypull.NewRunner(cfg); err != nil {
+				return err
+			}
 		} else {
-			s.metrics.rounds.Add(int64(rs.round))
+			runner.Reset(seed)
 		}
+		if prepare != nil {
+			prepare(runner, seed)
+		}
+		res, err := runner.RunContext(ctx)
+		if err != nil {
+			return err
+		}
+		emit(MakeSeedResult(seed, res))
 	}
-
-	l.runner.SetOnRound(func(round, correct int) {
-		s.metrics.rounds.Add(1)
-		j.publish(Event{Type: "round", Seed: seed, Round: round, Correct: correct})
-	})
-	l.runner.SetOnFault(func(rec noisypull.FaultRecord) {
-		s.metrics.faults.Add(1)
-		j.publish(Event{Type: "fault", Seed: seed, Round: rec.Round, Kind: rec.Kind.String(), Affected: rec.Affected})
-	})
-	if every := j.spec.CheckpointRounds; every > 0 && s.journal != nil {
-		l.runner.SetCheckpoint(every, func(round int, data []byte) {
-			s.metrics.checkpoints.Add(1)
-			s.metrics.checkpointBytes.Store(int64(len(data)))
-			s.journal.appendCheckpoint(j.id, seed, round, data, j.seq.Load())
-		})
-	}
-	res, err = l.runner.RunContext(j.ctx)
-	l.runner.SetOnRound(nil)
-	l.runner.SetOnFault(nil)
-	l.runner.SetCheckpoint(0, nil)
-	if err != nil && j.ctx.Err() == nil {
-		// A protocol/engine error poisons neither the worker nor the lease
-		// shape logic, but the runner may be mid-round: drop it.
-		l.drop()
-	}
-	return res, err
+	return nil
 }
 
 // janitor evicts terminal jobs past their TTL.

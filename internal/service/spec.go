@@ -82,10 +82,9 @@ type FaultSpec struct {
 	DriftRounds int `json:"drift_rounds,omitempty"`
 }
 
-// shapeKey is the comparable identity of a spec up to its seeds: two jobs
+// shapeKey is the comparable identity of a spec up to its seeds: two specs
 // with equal shapes produce engine configurations that differ only in the
-// seed, so a scheduler worker's leased runner can be rewound with Reset
-// instead of rebuilt (the RunBatch reuse pattern, extended across jobs).
+// seed. Fingerprint digests it.
 type shapeKey struct {
 	n, h, s1, s0          int
 	delta, p01, p10, c1   float64
@@ -111,12 +110,12 @@ func (s *JobSpec) shape() shapeKey {
 }
 
 // Fingerprint is the spec's config identity on the fleet wire: a short hex
-// digest of the same shape key the scheduler leases runners by, so two specs
-// share a fingerprint exactly when their engine configurations differ only
-// in the seed. The coordinator keys leases by it and workers recompute it
-// from the shipped spec — a mismatch (wire corruption, or a mixed-version
-// fleet whose spec semantics drifted) rejects the lease instead of silently
-// merging results from a different configuration.
+// digest of the spec's shape key, so two specs share a fingerprint exactly
+// when their engine configurations differ only in the seed. The coordinator
+// keys leases by it and workers recompute it from the shipped spec — a
+// mismatch (wire corruption, or a mixed-version fleet whose spec semantics
+// drifted) rejects the lease instead of silently merging results from a
+// different configuration.
 func (s *JobSpec) Fingerprint() string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", s.shape())))
 	return hex.EncodeToString(sum[:8])
@@ -124,8 +123,8 @@ func (s *JobSpec) Fingerprint() string {
 
 // faultFingerprint canonicalizes a fault schedule into a comparable string:
 // equal fingerprints mean the built noisypull.FaultSchedule values are equal
-// field-for-field, so a leased runner's compiled timeline depends only on
-// the seed and the runner may be rewound with Reset across jobs.
+// field-for-field, so two specs with equal shape keys compile the same fault
+// timeline.
 func faultFingerprint(fs []FaultSpec) string {
 	if len(fs) == 0 {
 		return ""

@@ -44,50 +44,27 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64, parallel i
 	if len(seeds) == 0 {
 		return nil, nil
 	}
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(seeds) {
-		parallel = len(seeds)
-	}
 	cfg.Workers = 1
 
 	results := make([]*Result, len(seeds))
 	errs := make([]error, len(seeds))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var runner *Runner
-			for t := range next {
-				if runner == nil {
-					c := cfg
-					c.Seed = seeds[t]
-					var err error
-					if runner, err = New(c); err != nil {
-						errs[t] = err
-						continue
-					}
-				} else {
-					runner.Reset(seeds[t])
+	ForEachTrial(ctx, parallel, len(seeds), func() func(int) {
+		var runner *Runner
+		return func(t int) {
+			if runner == nil {
+				c := cfg
+				c.Seed = seeds[t]
+				var err error
+				if runner, err = New(c); err != nil {
+					errs[t] = err
+					return
 				}
-				results[t], errs[t] = runner.RunContext(ctx)
+			} else {
+				runner.Reset(seeds[t])
 			}
-		}()
-	}
-	done := ctx.Done()
-feed:
-	for t := range seeds {
-		select {
-		case next <- t:
-		case <-done:
-			break feed
+			results[t], errs[t] = runner.RunContext(ctx)
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -98,6 +75,44 @@ feed:
 		}
 	}
 	return results, nil
+}
+
+// ForEachTrial runs trials 0..n-1 on min(parallel, n) goroutines
+// (parallel <= 0 means GOMAXPROCS). newWorker is called once per goroutine,
+// before it starts, and the closure it returns runs that goroutine's share
+// of the trials, so it is where a goroutine keeps its reusable runner. Once
+// ctx is cancelled no further trials are handed out; ForEachTrial returns
+// after every goroutine has exited.
+func ForEachTrial(ctx context.Context, parallel, n int, newWorker func() func(t int)) {
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	if parallel > n {
+		parallel = n
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < parallel; w++ {
+		run := newWorker()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range next {
+				run(t)
+			}
+		}()
+	}
+	done := ctx.Done()
+feed:
+	for t := 0; t < n; t++ {
+		select {
+		case next <- t:
+		case <-done:
+			break feed
+		}
+	}
+	close(next)
+	wg.Wait()
 }
 
 // ResetCompatible reports whether a Runner built from c can be reused via

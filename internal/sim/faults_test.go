@@ -493,9 +493,9 @@ func (c countableOnly) Alphabet() int { return c.p.Alphabet() }
 func (c countableOnly) NewAgent(id int, role sim.Role, env sim.Env) sim.Agent {
 	return c.p.NewAgent(id, role, env)
 }
-func (c countableOnly) NumStates(env sim.Env) int              { return c.p.NumStates(env) }
-func (c countableOnly) DisplayOf(env sim.Env, state int) int   { return c.p.DisplayOf(env, state) }
-func (c countableOnly) OpinionOf(env sim.Env, state int) int   { return c.p.OpinionOf(env, state) }
+func (c countableOnly) NumStates(env sim.Env) int            { return c.p.NumStates(env) }
+func (c countableOnly) DisplayOf(env sim.Env, state int) int { return c.p.DisplayOf(env, state) }
+func (c countableOnly) OpinionOf(env sim.Env, state int) int { return c.p.OpinionOf(env, state) }
 func (c countableOnly) InitialCounts(env sim.Env, init sim.CountsInit, counts []int) {
 	c.p.InitialCounts(env, init, counts)
 }

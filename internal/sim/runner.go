@@ -116,7 +116,7 @@ func New(cfg Config) (*Runner, error) {
 	// one pushed through N·P, so the hot loops apply a single composed
 	// channel instead of two. The composed matrix and its alias tables are
 	// immutable, so runners with content-equal channels (RunBatch fleets,
-	// service runner leases) share one instance from a process-wide cache.
+	// service jobs) share one instance from a process-wide cache.
 	eff, ch, err := noise.SharedChannel(cfg.Noise, cfg.Artificial)
 	if err != nil {
 		return nil, fmt.Errorf("sim: building noise channel: %w", err)
@@ -424,9 +424,9 @@ func (r *Runner) Env() Env { return r.env }
 func (r *Runner) Backend() Backend { return r.backend }
 
 // SetOnRound replaces the runner's per-round observation hook. It must not
-// be called while a Run is in progress. Harness code that leases a runner
-// across jobs (service scheduler, batch drivers) uses it to repoint progress
-// streaming at the current job between Reset and Run.
+// be called while a Run is in progress. Harness code that reuses a runner
+// across seeds (the service's seed loop) uses it to repoint progress
+// streaming at the current seed between Reset and Run.
 func (r *Runner) SetOnRound(fn func(round, correct int)) {
 	r.cfg.OnRound = fn
 }

@@ -689,36 +689,77 @@ func TestVecEligibility(t *testing.T) {
 	}
 }
 
-// TestVecKaryRoundAllocFree: once warm, a round on the k-ary joint vector
-// path allocates nothing, although it rebuilds the round's joint
-// multinomial alias table (Init + PrecomputeJoint) every round.
-func TestVecKaryRoundAllocFree(t *testing.T) {
-	r, err := sim.New(sim.Config{
-		N: 500, H: 16, Sources1: 10, Sources0: 3,
-		Noise:     uniformNoise(t, 4, 0.05),
-		Protocol:  protocol.NewSSF(),
-		Seed:      5,
-		Workers:   1,
-		Backend:   sim.BackendAggregate,
-		MaxRounds: 1000,
-	})
+// TestRoundAllocFree: once warm, a round allocates nothing in any vector
+// regime or on the counts backend. The k-ary joint case rebuilds the round's
+// joint multinomial alias table (Init + PrecomputeJoint) every round; the
+// k-ary conditional case (h = 64, k = 4: support above maxJointSupport)
+// samples symbol by symbol instead; the crash case steps past a live crash
+// event. Workers is 1 because Step does not attach the worker pool.
+func TestRoundAllocFree(t *testing.T) {
+	ring, err := graph.Ring(500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if !r.Vectorized() {
-		t.Fatal("expected the vectorized path")
-	}
-	step := func() {
-		if _, err := r.Step(); err != nil {
-			t.Fatal(err)
+	binary := func(proto sim.Protocol) sim.Config {
+		return sim.Config{
+			N: 500, H: 16, Sources1: 3, Sources0: 1,
+			Noise:    uniformNoise(t, 2, 0.1),
+			Protocol: proto,
 		}
 	}
-	for i := 0; i < 3; i++ {
-		step()
+	kary := func(h int) sim.Config {
+		return sim.Config{
+			N: 500, H: h, Sources1: 10, Sources0: 3,
+			Noise:    uniformNoise(t, 4, 0.05),
+			Protocol: protocol.NewSSF(),
+			Backend:  sim.BackendAggregate,
+		}
 	}
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state k-ary vector round: %v allocs, want 0", allocs)
+	onRing := binary(protocol.NewSF())
+	onRing.Topology = ring
+	crashed := binary(protocol.MajorityRule{})
+	crashed.Faults = &faults.Schedule{Events: []faults.Event{
+		{Kind: faults.KindCrash, Round: 2, Fraction: 0.3, Duration: 10000},
+	}}
+	counts := binary(protocol.Voter{})
+	counts.N, counts.Backend = 100000, sim.BackendCounts
+
+	cases := []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"sf-binary", binary(protocol.NewSF())},
+		{"voter", binary(protocol.Voter{})},
+		{"kary-joint", kary(16)},
+		{"kary-conditional", kary(64)},
+		{"ring", onRing},
+		{"crash", crashed},
+		{"counts", counts},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Seed, cfg.Workers, cfg.MaxRounds = 5, 1, 1000
+			r, err := sim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if want := cfg.Backend != sim.BackendCounts; r.Vectorized() != want {
+				t.Fatalf("Vectorized() = %v, want %v", r.Vectorized(), want)
+			}
+			step := func() {
+				if _, err := r.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Fatalf("steady-state round: %v allocs, want 0", allocs)
+			}
+		})
 	}
 }
 

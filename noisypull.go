@@ -278,8 +278,8 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result
 // instantiation, channel composition (including the Theorem 8 reduction),
 // and all per-round scratch once, and Reset rewinds it for further seeds
 // over the same allocations — the mechanism behind RunBatch, exposed so
-// long-lived harnesses (for example the simd job scheduler) can lease
-// runners across requests.
+// long-lived harnesses (for example the simd job scheduler) can run many
+// seeds on one runner.
 type Runner struct {
 	r *sim.Runner
 }
