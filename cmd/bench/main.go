@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cpuList  = fs.String("cpu", "", "comma-separated GOMAXPROCS values to sweep per case (e.g. 1,4,8)")
 		list     = fs.Bool("list", false, "list case names and exit")
 		version  = fs.Bool("version", false, "print version and exit")
-		gate     = fs.Bool("gate", false, "perf-gate mode: compare against -baseline, print a delta table, and fail on regression; no output file is written unless -out is set")
+		gate     = fs.Bool("gate", false, "perf-gate mode: compare against -baseline, print a delta table, and fail on regression; cases run without -cpu are measured at the baseline's gomaxprocs; no output file is written unless -out is set")
 		gateNs   = fs.Float64("gate-ns", 1.25, "gate: max tolerated ns/op ratio vs baseline (1.25 = +25%); generous because CI runners are noisy")
 		gateAllo = fs.Float64("gate-allocs", 1.25, "gate: max tolerated allocs/op ratio vs baseline (allocation counts are near-deterministic, so regressions are real)")
 	)
@@ -124,10 +124,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	var base map[string]Record
+	baseProcs := 0
 	if *baseline != "" {
-		if base, err = loadBaseline(*baseline); err != nil {
+		if base, baseProcs, err = loadBaseline(*baseline); err != nil {
 			return err
 		}
+	}
+	// procs is the GOMAXPROCS records without a cpu field are measured at:
+	// the process default, except that -gate measures them at the baseline
+	// file's, so the gate never compares runs taken on different core counts
+	// (allocations grow with the number of trial goroutines).
+	procs := 0
+	if *gate {
+		procs = baseProcs
 	}
 
 	file := File{
@@ -135,6 +144,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Notes:      notes,
+	}
+	if procs > 0 {
+		file.GOMAXPROCS = procs
+		fmt.Fprintf(out, "measuring at the baseline's GOMAXPROCS %d\n", procs)
 	}
 	for _, c := range bench.Suite() {
 		if !re.MatchString(c.Name) {
@@ -158,7 +171,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				label = fmt.Sprintf("%s@%d", c.Name, cpu)
 			}
 			fmt.Fprintf(out, "%-28s ", label)
-			res := benchmarkAt(cpu, c.F)
+			at := cpu
+			if at == 0 {
+				at = procs
+			}
+			res := benchmarkAt(at, c.F)
 			rec := Record{
 				Name:        c.Name,
 				CPU:         cpu,
@@ -334,20 +351,21 @@ func recordKey(name string, cpu int) string {
 }
 
 // loadBaseline indexes a prior output file by case name (and cpu, for files
-// written with -cpu).
-func loadBaseline(path string) (map[string]Record, error) {
+// written with -cpu) and returns the GOMAXPROCS it was taken at (0 if the
+// file does not say).
+func loadBaseline(path string) (map[string]Record, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+		return nil, 0, fmt.Errorf("baseline: %w", err)
 	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
+		return nil, 0, fmt.Errorf("baseline %s: %w", path, err)
 	}
 	m := make(map[string]Record, len(f.Benchmarks))
 	for _, r := range f.Benchmarks {
 		r.Baseline = nil // do not chain baselines across generations
 		m[recordKey(r.Name, r.CPU)] = r
 	}
-	return m, nil
+	return m, f.GOMAXPROCS, nil
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestListMatchesFilter(t *testing.T) {
@@ -191,6 +194,62 @@ func TestGatePasses(t *testing.T) {
 		if strings.HasPrefix(e.Name(), "BENCH_") {
 			t.Fatalf("gate mode wrote %s without -out", e.Name())
 		}
+	}
+}
+
+// TestGateMeasuresAtBaselineProcs checks that -gate measures records without
+// a cpu field at the baseline file's gomaxprocs, not the host default, and
+// restores the default afterwards.
+func TestGateMeasuresAtBaselineProcs(t *testing.T) {
+	def := runtime.GOMAXPROCS(0)
+	want := def + 1
+	dir := t.TempDir()
+	base := writeBaseline(t, dir, File{Date: "2000-01-01", GOMAXPROCS: want,
+		Benchmarks: []Record{{Name: "ReduceNoise", NsPerOp: 1e12, AllocsPerOp: 1 << 40}}})
+
+	// Poll GOMAXPROCS while the case runs to see what it was measured at.
+	var seen atomic.Bool
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				if runtime.GOMAXPROCS(0) == want {
+					seen.Store(true)
+				}
+			}
+		}
+	}()
+	outPath := filepath.Join(dir, "out.json")
+	var sb strings.Builder
+	err := run(context.Background(), []string{
+		"-gate", "-baseline", base, "-filter", "^ReduceNoise$", "-out", outPath,
+	}, &sb)
+	close(stop)
+	<-polled
+	if err != nil {
+		t.Fatalf("gate failed: %v\n%s", err, sb.String())
+	}
+	if !seen.Load() {
+		t.Fatalf("case never ran at the baseline's GOMAXPROCS %d:\n%s", want, sb.String())
+	}
+	if got := runtime.GOMAXPROCS(0); got != def {
+		t.Fatalf("GOMAXPROCS left at %d, want the default %d", got, def)
+	}
+	raw, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.GOMAXPROCS != want || len(f.Benchmarks) != 1 || f.Benchmarks[0].CPU != 0 || f.Benchmarks[0].Baseline == nil {
+		t.Fatalf("output file = %+v, want gomaxprocs %d and one cpu-less record matched to its baseline", f, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -69,22 +68,19 @@ func (b *trialBatch) Wilson95() stats.Proportion {
 // channel building per trial. Configurations that genuinely differ (for
 // example per-trial random graphs) fall back to a fresh runner.
 func runTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
-	reset := func(r *sim.Runner, seed uint64) error { r.Reset(seed); return nil }
-	return runTrialsOn(opts, gridPoint, trials, makeCfg, sim.New, reset, "trial")
+	return runTrialsOn(opts, gridPoint, trials, makeCfg, sim.New, "trial")
 }
 
-// runAsyncTrials is runTrials for the asynchronous scheduler (sim.NewAsync).
+// runAsyncTrials is runTrials for the asynchronous schedule (sim.NewAsync).
 func runAsyncTrials(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config) (*trialBatch, error) {
-	return runTrialsOn(opts, gridPoint, trials, makeCfg, sim.NewAsync, (*sim.AsyncRunner).Reset, "async trial")
+	return runTrialsOn(opts, gridPoint, trials, makeCfg, sim.NewAsync, "async trial")
 }
 
 // runTrialsOn is the trial loop behind runTrials and runAsyncTrials: build
-// constructs a goroutine's runner, reset rewinds it for a compatible
-// configuration, and what names a trial in errors.
-func runTrialsOn[R interface {
-	RunContext(context.Context) (*sim.Result, error)
-}](opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config,
-	build func(sim.Config) (R, error), reset func(R, uint64) error, what string) (*trialBatch, error) {
+// constructs a goroutine's runner (sim.New or sim.NewAsync), and what names
+// a trial in errors.
+func runTrialsOn(opts Options, gridPoint, trials int, makeCfg func(seed uint64) sim.Config,
+	build func(sim.Config) (*sim.Runner, error), what string) (*trialBatch, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("experiment: trials = %d", trials)
 	}
@@ -92,23 +88,22 @@ func runTrialsOn[R interface {
 	results := make([]*sim.Result, trials)
 	errs := make([]error, trials)
 	sim.ForEachTrial(ctx, opts.Parallel, trials, func() func(int) {
-		var runner R
+		var runner *sim.Runner
 		var runnerCfg sim.Config
-		built := false
 		return func(t int) {
 			cfg := makeCfg(trialSeed(opts.Seed, gridPoint, t))
 			cfg.Workers = 1
-			var err error
-			if built && runnerCfg.ResetCompatible(&cfg) {
-				err = reset(runner, cfg.Seed)
-			} else if runner, err = build(cfg); err == nil {
+			if runner != nil && runnerCfg.ResetCompatible(&cfg) {
+				runner.Reset(cfg.Seed)
+			} else {
+				var err error
+				if runner, err = build(cfg); err != nil {
+					errs[t] = err
+					return
+				}
 				runnerCfg = cfg
 			}
-			built = err == nil
-			if built {
-				results[t], err = runner.RunContext(ctx)
-			}
-			errs[t] = err
+			results[t], errs[t] = runner.RunContext(ctx)
 		}
 	})
 	if err := ctx.Err(); err != nil {

@@ -1,294 +1,89 @@
 package sim
 
 import (
-	"context"
+	"errors"
 	"fmt"
-
-	"noisypull/internal/noise"
-	"noisypull/internal/rng"
 )
 
-// AsyncRunner executes a simulation under an asynchronous activation
-// schedule instead of synchronous rounds: at every step one uniformly
-// random agent activates, observes h noisy samples of the population's
-// *current* displays, and updates. Time is reported in parallel rounds
-// (n activations = 1 round), making results comparable with Runner.
+// NewAsync validates cfg and returns a Runner on the asynchronous
+// activation schedule instead of synchronous rounds: at every step one
+// uniformly random agent activates, observes h noisy samples of the
+// population's *current* displays, and updates. Time is reported in
+// parallel rounds (n activations = 1 round), making results comparable
+// with New's.
 //
-// This scheduler removes the simultaneous wake-up assumption entirely —
+// This schedule removes the simultaneous wake-up assumption entirely —
 // agents' internal schedules advance at independent random rates. SSF
 // (whose guarantees never reference a global clock) is expected to keep
 // working; SF's phase structure relies on synchronized rounds, so it is
 // expected to break. Experiment E17 measures exactly this contrast.
 //
-// Finite protocols are run for MaxRounds with the usual stability-window
-// semantics rather than their synchronous schedule, since a global
-// schedule has no meaning here.
-type AsyncRunner struct {
-	cfg     Config
-	env     Env
-	agents  []Agent
-	streams []rng.Stream
-	sched   rng.Stream
-	channel *noise.Channel
-	artif   *noise.Channel
-	backend Backend
+// The runner is built by New's constructor and shares its channel,
+// population construction, Reset, and round loop, with three differences:
+// Finite protocols run for MaxRounds with the usual stability-window
+// semantics (a global schedule has no meaning here); activation is
+// sequential, so Workers is ignored and the runner stays on the scalar
+// per-agent path; and there is no fault injection or checkpointing —
+// Faults, OnFault, and CheckpointEvery/OnCheckpoint are rejected, and
+// Snapshot and Restore return an error. The counts backend has no
+// individual agents to activate and is rejected too.
+func NewAsync(cfg Config) (*Runner, error) { return newRunner(cfg, true) }
 
-	displays []int
-	counts   []int
-	probs    []float64
-	sampled  []int
-	inter    []int
-	observed []int
-	correct  int // number of agents currently holding the correct opinion
-}
+// errAsyncSnapshot is returned by Snapshot and Restore on an asynchronous
+// runner.
+var errAsyncSnapshot = errors.New("sim: an asynchronous runner has no snapshots; its scheduler stream and incremental tallies are not encoded")
 
-// NewAsync validates cfg and instantiates the asynchronous simulation.
-// Workers is ignored: asynchronous activation is inherently sequential.
-func NewAsync(cfg Config) (*AsyncRunner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// checkAsync rejects the configuration inputs the asynchronous schedule
+// cannot honour, instead of silently running without them.
+func checkAsync(cfg *Config) error {
 	if cfg.Backend == BackendCounts {
-		return nil, fmt.Errorf("sim: backend %v tracks class counts, not individual agents, and has no asynchronous schedule; use exact or aggregate", cfg.Backend)
+		return fmt.Errorf("sim: backend %v tracks class counts, not individual agents, and has no asynchronous schedule; use exact or aggregate", cfg.Backend)
 	}
-	backend := cfg.Backend
-	if backend == BackendAuto {
-		if cfg.H <= autoExactLimit || cfg.Topology != nil {
-			backend = BackendExact
-		} else {
-			backend = BackendAggregate
-		}
-	}
-	ch, err := noise.NewChannel(cfg.Noise)
-	if err != nil {
-		return nil, fmt.Errorf("sim: building noise channel: %w", err)
-	}
-	var art *noise.Channel
-	if cfg.Artificial != nil {
-		art, err = noise.NewChannel(cfg.Artificial)
-		if err != nil {
-			return nil, fmt.Errorf("sim: building artificial channel: %w", err)
-		}
-	}
-
-	env := cfg.Env()
-	r := &AsyncRunner{
-		cfg:      cfg,
-		env:      env,
-		streams:  make([]rng.Stream, cfg.N),
-		channel:  ch,
-		artif:    art,
-		backend:  backend,
-		displays: make([]int, cfg.N),
-		counts:   make([]int, env.Alphabet),
-		probs:    make([]float64, env.Alphabet),
-		sampled:  make([]int, env.Alphabet),
-		inter:    make([]int, env.Alphabet),
-		observed: make([]int, env.Alphabet),
-	}
-	if err := r.initPopulation(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// initPopulation (re)derives the scheduler and per-agent RNG streams and
-// (re)builds the agent population, mirroring Runner.initPopulation so a
-// Reset async runner is bit-identical to a freshly constructed one.
-func (r *AsyncRunner) initPopulation() error {
-	cfg := &r.cfg
-	r.sched.Reseed(rng.DeriveSeed(cfg.Seed, ^uint64(0)))
-	for i := range r.streams {
-		r.streams[i].Reseed(rng.DeriveSeed(cfg.Seed, uint64(i)))
-	}
-	role := func(id int) Role { return roleOf(id, cfg.Sources1, cfg.Sources0) }
-	if bp, ok := cfg.Protocol.(BulkProtocol); ok {
-		r.agents = bp.NewAgents(cfg.N, r.env, role)
-	} else {
-		if r.agents == nil {
-			r.agents = make([]Agent, cfg.N)
-		}
-		for i := range r.agents {
-			r.agents[i] = cfg.Protocol.NewAgent(i, role(i), r.env)
-		}
-	}
-	correctOp := cfg.CorrectOpinion()
-	wrong := 1 - correctOp
-	for i, a := range r.agents {
-		if s, ok := a.(Seeder); ok {
-			s.SeedInit(&r.streams[i])
-		}
-		if cfg.Corruption != CorruptNone {
-			if c, ok := a.(Corruptible); ok {
-				c.Corrupt(cfg.Corruption, wrong, &r.streams[i])
-			}
-		}
-	}
-	// Initial display and opinion state.
-	for j := range r.counts {
-		r.counts[j] = 0
-	}
-	r.correct = 0
-	for i, a := range r.agents {
-		s := a.Display()
-		if s < 0 || s >= r.env.Alphabet {
-			return fmt.Errorf("sim: agent %d displays symbol %d outside alphabet %d", i, s, r.env.Alphabet)
-		}
-		r.displays[i] = s
-		r.counts[s]++
-		if a.Opinion() == correctOp {
-			r.correct++
-		}
-	}
-	return nil
-}
-
-// Reset rewinds the runner to a freshly constructed state under the given
-// seed, reusing its allocations — the async analogue of Runner.Reset. A
-// Reset runner is bit-identical to one built with NewAsync under the same
-// configuration and seed.
-func (r *AsyncRunner) Reset(seed uint64) error {
-	r.cfg.Seed = seed
-	return r.initPopulation()
-}
-
-// Agents exposes the instantiated agents.
-func (r *AsyncRunner) Agents() []Agent { return r.agents }
-
-// Env returns the agents' environment.
-func (r *AsyncRunner) Env() Env { return r.env }
-
-// Run executes activations until the population has been all-correct for
-// StabilityWindow consecutive parallel rounds or MaxRounds parallel rounds
-// elapse.
-func (r *AsyncRunner) Run() (*Result, error) {
-	return r.RunContext(context.Background())
-}
-
-// RunContext is Run with cooperative cancellation, checked once per parallel
-// round (n activations); a cancelled run returns ctx.Err().
-func (r *AsyncRunner) RunContext(ctx context.Context) (*Result, error) {
-	cfg := &r.cfg
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = defaultMaxRounds(cfg.N)
-	}
-	window := cfg.StabilityWindow
-	if window == 0 {
-		window = 1
-	}
-	correctOp := cfg.CorrectOpinion()
-	res := &Result{CorrectOpinion: correctOp}
-	if cfg.TrackHistory {
-		capRounds := maxRounds
-		if capRounds > 1<<20 {
-			capRounds = 1 << 20
-		}
-		res.History = make([]int, 0, capRounds)
-	}
-
-	n := cfg.N
-	done := ctx.Done()
-	stable := 0
-	for round := 1; round <= maxRounds; round++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		for step := 0; step < n; step++ {
-			r.activate(r.sched.Intn(n), correctOp)
-		}
-		res.Rounds = round
-		res.FinalCorrect = r.correct
-		if cfg.TrackHistory {
-			res.History = append(res.History, r.correct)
-		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(round, r.correct)
-		}
-		allCorrect := r.correct == n
-		if allCorrect && res.FirstAllCorrect == 0 {
-			res.FirstAllCorrect = round
-		}
-		if allCorrect {
-			stable++
-		} else {
-			stable = 0
-			res.FirstAllCorrect = 0
-		}
-		if stable >= window {
-			res.Converged = true
-			return res, nil
-		}
-	}
-	return res, nil
-}
-
-// activate performs one asynchronous activation of agent i.
-func (r *AsyncRunner) activate(i int, correctOp int) {
-	stream := &r.streams[i]
-	h := r.cfg.H
-	observed := r.observed
-	for j := range observed {
-		observed[j] = 0
-	}
-	switch r.backend {
-	case BackendExact:
-		n := r.cfg.N
-		var neighbors []int32
-		if r.cfg.Topology != nil {
-			neighbors = r.cfg.Topology.Neighbors(i)
-		}
-		for s := 0; s < h; s++ {
-			var sigma int
-			if neighbors != nil {
-				sigma = r.displays[neighbors[stream.Intn(len(neighbors))]]
-			} else {
-				sigma = r.displays[stream.Intn(n)]
-			}
-
-			o := r.channel.Apply(stream, sigma)
-			if r.artif != nil {
-				o = r.artif.Apply(stream, o)
-			}
-			observed[o]++
-		}
-	case BackendAggregate:
-		for j, c := range r.counts {
-			r.probs[j] = float64(c)
-		}
-		stream.Multinomial(h, r.probs, r.sampled)
-		if r.artif == nil {
-			r.channel.ApplyCounts(stream, r.sampled, observed)
-		} else {
-			for j := range r.inter {
-				r.inter[j] = 0
-			}
-			r.channel.ApplyCounts(stream, r.sampled, r.inter)
-			r.artif.ApplyCounts(stream, r.inter, observed)
-		}
+	var field string
+	switch {
+	case cfg.Faults != nil:
+		field = "Faults"
+	case cfg.OnFault != nil:
+		field = "OnFault"
+	case cfg.CheckpointEvery > 0:
+		field = "CheckpointEvery"
+	case cfg.OnCheckpoint != nil:
+		field = "OnCheckpoint"
 	default:
-		panic(fmt.Sprintf("sim: unresolved backend %v", r.backend))
+		return nil
 	}
+	return fmt.Errorf("sim: the asynchronous schedule has no fault injection or checkpointing; Config.%s must be unset", field)
+}
 
-	a := r.agents[i]
-	wasCorrect := a.Opinion() == correctOp
-	a.Observe(observed, stream)
-
-	// Maintain the incremental display counts and correct-opinion tally.
-	if s := a.Display(); s != r.displays[i] {
-		r.counts[r.displays[i]]--
-		r.counts[s]++
-		r.displays[i] = s
-	}
-	if isCorrect := a.Opinion() == correctOp; isCorrect != wasCorrect {
-		if isCorrect {
-			r.correct++
-		} else {
-			r.correct--
+// stepAsync executes one parallel round of the asynchronous schedule: n
+// activations, each of a uniformly random agent that observes the live
+// displays and updates at once. The display vector, the display weights
+// (r.probs), and the correct-opinion count r.live are maintained
+// incrementally from the tally initPopulation takes.
+func (r *Runner) stepAsync() (int, error) {
+	s := &r.scratch[0]
+	n, d := r.cfg.N, r.env.Alphabet
+	for k := 0; k < n; k++ {
+		i := r.sched.Intn(n)
+		a, stream := r.agents[i], &r.streams[i]
+		r.observe(i, stream, s)
+		wasCorrect := a.Opinion() == r.correct
+		a.Observe(s.observed, stream)
+		if sym := a.Display(); sym != r.displays[i] {
+			if sym < 0 || sym >= d {
+				return 0, fmt.Errorf("agent %d displayed symbol %d outside alphabet [0, %d)", i, sym, d)
+			}
+			r.probs[r.displays[i]]--
+			r.probs[sym]++
+			r.displays[i] = sym
+		}
+		if isCorrect := a.Opinion() == r.correct; isCorrect != wasCorrect {
+			if isCorrect {
+				r.live++
+			} else {
+				r.live--
+			}
 		}
 	}
+	return r.live, nil
 }

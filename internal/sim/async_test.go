@@ -2,7 +2,10 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"noisypull/internal/faults"
 )
 
 func TestNewAsyncValidates(t *testing.T) {
@@ -159,5 +162,60 @@ func TestAsyncMaxRoundsCap(t *testing.T) {
 	}
 	if res.Rounds != 7 || res.Converged {
 		t.Fatalf("cap ignored: %+v", res)
+	}
+}
+
+// TestAsyncRejectsUnsupportedInputs checks that the asynchronous schedule
+// refuses, naming the field, the inputs it cannot honour instead of running
+// without them, and that an async runner refuses Snapshot and Restore.
+func TestAsyncRejectsUnsupportedInputs(t *testing.T) {
+	newAsync := func(set func(*Config)) error {
+		cfg := baseConfig(t)
+		set(&cfg)
+		_, err := NewAsync(cfg)
+		return err
+	}
+	asyncRunner := func(t *testing.T) *Runner {
+		r, err := NewAsync(baseConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name, want string
+		err        func(t *testing.T) error
+	}{
+		{"Faults", "Config.Faults", func(*testing.T) error {
+			return newAsync(func(c *Config) {
+				c.Faults = &faults.Schedule{Events: []faults.Event{
+					{Kind: faults.KindCorrupt, Round: 3, Fraction: 0.5, Corruption: faults.CorruptRandom},
+				}}
+			})
+		}},
+		{"OnFault", "Config.OnFault", func(*testing.T) error {
+			return newAsync(func(c *Config) { c.OnFault = func(faults.Record) {} })
+		}},
+		{"CheckpointEvery", "Config.CheckpointEvery", func(*testing.T) error {
+			return newAsync(func(c *Config) { c.CheckpointEvery = 5 })
+		}},
+		{"OnCheckpoint", "Config.OnCheckpoint", func(*testing.T) error {
+			return newAsync(func(c *Config) { c.OnCheckpoint = func(int, []byte) {} })
+		}},
+		{"Snapshot", "asynchronous", func(t *testing.T) error {
+			_, err := asyncRunner(t).Snapshot()
+			return err
+		}},
+		{"Restore", "asynchronous", func(t *testing.T) error {
+			// Refused before the blob is even decoded.
+			return asyncRunner(t).Restore([]byte("not a snapshot"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.err(t)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -5,14 +5,16 @@
 // path, captured before the vectorized struct-of-arrays backend landed.
 // testdata/golden_vec.json pins the vectorized path against itself so
 // future changes to the kernels or the chunked stream scheme cannot
-// silently change results.
+// silently change results. testdata/golden_async.json pins the
+// asynchronous schedule (sim.NewAsync) under uniform noise, captured while
+// it still ran on an engine type of its own.
 //
 // Regenerate with:
 //
 //	go test ./internal/sim -run TestGolden -update
 //
-// Never regenerate golden_scalar.json to paper over an engine diff: the
-// scalar file is the pre-refactor contract.
+// Never regenerate golden_scalar.json or golden_async.json to paper over an
+// engine diff: they are the pre-refactor contracts.
 package sim_test
 
 import (
@@ -203,9 +205,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	return cases
 }
 
-// runGolden executes one case and serializes the trajectory. The final
-// state hash folds in every agent's display symbol and opinion, so any
-// divergence in per-agent state — not just the aggregate history — flips it.
+// runGolden executes one case and serializes the trajectory.
 func runGolden(t *testing.T, cfg sim.Config) goldenTrace {
 	t.Helper()
 	r, err := sim.New(cfg)
@@ -217,6 +217,19 @@ func runGolden(t *testing.T, cfg sim.Config) goldenTrace {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return traceOf(res, cfg.N, func(i int) (int, int) {
+		d, o, err := r.AgentState(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, o
+	})
+}
+
+// traceOf serializes a finished run of n agents. The final state hash folds
+// in every agent's display symbol and opinion, so any divergence in
+// per-agent state — not just the aggregate history — flips it.
+func traceOf(res *sim.Result, n int, state func(i int) (display, opinion int)) goldenTrace {
 	h := fnv.New64a()
 	buf := make([]byte, 8)
 	put := func(v uint64) {
@@ -225,11 +238,8 @@ func runGolden(t *testing.T, cfg sim.Config) goldenTrace {
 		}
 		h.Write(buf)
 	}
-	for i := 0; i < cfg.N; i++ {
-		d, o, err := r.AgentState(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < n; i++ {
+		d, o := state(i)
 		put(uint64(d))
 		put(uint64(o))
 	}
@@ -370,5 +380,126 @@ func TestGoldenVecMatchesScalarShape(t *testing.T) {
 		if tr.Rounds <= 0 {
 			t.Errorf("%s: non-positive rounds %d", c.name, tr.Rounds)
 		}
+	}
+}
+
+// goldenAsyncCases is the config matrix pinned by golden_async.json: the
+// asynchronous schedule (sim.NewAsync) under uniform noise on the exact
+// backend (complete graph and ring) and on the aggregate backend in
+// experiment E17's shape (k = 4 SSF at h = 32 from a wrong-consensus start,
+// and binary SF at h = 32).
+func goldenAsyncCases(t *testing.T) []goldenCase {
+	t.Helper()
+	ring, err := graph.Ring(200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	voter := sim.Config{
+		N:               200,
+		H:               4,
+		Sources1:        3,
+		Sources0:        1,
+		Noise:           goldenNoise(t, 2, 0.15),
+		Protocol:        protocol.Voter{},
+		Seed:            101,
+		Backend:         sim.BackendExact,
+		MaxRounds:       60,
+		StabilityWindow: 4,
+		TrackHistory:    true,
+	}
+	voterRing := voter
+	voterRing.Topology = ring
+	voterRing.Seed = 1001
+
+	ssfExact := sim.Config{
+		N:            120,
+		H:            6,
+		Sources1:     4,
+		Sources0:     1,
+		Noise:        goldenNoise(t, 4, 0.12),
+		Protocol:     protocol.NewSSF(),
+		Seed:         111,
+		Backend:      sim.BackendExact,
+		Corruption:   sim.CorruptRandom,
+		MaxRounds:    300,
+		TrackHistory: true,
+	}
+
+	ssf := protocol.NewSSF()
+	ssfAgg := sim.Config{
+		N:            128,
+		H:            32,
+		Sources1:     1,
+		Noise:        goldenNoise(t, 4, 0.1),
+		Protocol:     ssf,
+		Seed:         1301,
+		Backend:      sim.BackendAggregate,
+		Corruption:   sim.CorruptWrongConsensus,
+		MaxRounds:    600,
+		TrackHistory: true,
+	}
+	m, err := ssf.UpdateQuota(ssfAgg.Env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssfAgg.StabilityWindow = 2 * ((m + ssfAgg.H - 1) / ssfAgg.H)
+
+	sfAgg := sim.Config{
+		N:               128,
+		H:               32,
+		Sources1:        1,
+		Noise:           goldenNoise(t, 2, 0.1),
+		Protocol:        protocol.NewSF(),
+		Seed:            1402,
+		Backend:         sim.BackendAggregate,
+		Corruption:      sim.CorruptRandom,
+		MaxRounds:       200,
+		StabilityWindow: 10,
+		TrackHistory:    true,
+	}
+	return []goldenCase{
+		{name: "voter-exact", cfg: voter},
+		{name: "ssf-exact", cfg: ssfExact},
+		{name: "voter-ring-exact", cfg: voterRing},
+		{name: "ssf-aggregate-corrupt-wrong", cfg: ssfAgg},
+		{name: "sf-aggregate-corrupt-random", cfg: sfAgg},
+	}
+}
+
+// TestGoldenAsync pins the asynchronous schedule against trajectories
+// captured when it ran on its own engine type, before it became a mode of
+// sim.Runner. Never regenerate it to paper over an engine diff.
+func TestGoldenAsync(t *testing.T) {
+	cases := goldenAsyncCases(t)
+	got := make(map[string]goldenTrace, len(cases))
+	for _, c := range cases {
+		r, err := sim.NewAsync(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[c.name] = traceOf(res, c.cfg.N, func(i int) (int, int) {
+			a := r.Agents()[i]
+			return a.Display(), a.Opinion()
+		})
+	}
+	path := filepath.Join("testdata", "golden_async.json")
+	want := goldenFile(t, path, got, *updateGolden)
+	if *updateGolden {
+		return
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("golden file has %d cases, suite has %d", len(want), len(cases))
+	}
+	for _, c := range cases {
+		w, ok := want[c.name]
+		if !ok {
+			t.Errorf("%s: missing from golden file", c.name)
+			continue
+		}
+		goldenCompare(t, c.name, got[c.name], w)
 	}
 }

@@ -11,11 +11,12 @@ import (
 	"noisypull/internal/rng"
 )
 
-// Runner executes one configured simulation. Create it with New, run it with
-// Run, and rewind it with Reset to run further trials over the same
-// allocations. All buffers, RNG streams, alias tables, and worker goroutines
-// are provisioned at construction, so steady-state rounds allocate nothing
-// and spawn nothing.
+// Runner executes one configured simulation. Create it with New (synchronous
+// rounds) or NewAsync (asynchronous activations), run it with Run, and rewind
+// it with Reset to run further trials over the same allocations. All
+// buffers, RNG streams, alias tables, and worker goroutines are provisioned
+// at construction, so steady-state rounds allocate nothing and spawn
+// nothing.
 type Runner struct {
 	cfg     Config
 	env     Env
@@ -31,8 +32,8 @@ type Runner struct {
 	correct    int // the correct opinion (plurality source preference)
 
 	// Per-round shared state, written only at barriers.
-	needDisplays bool      // topology runs need the display vector
-	displays     []int     // symbol displayed by each agent this round
+	needDisplays bool      // topology and async runs need the display vector
+	displays     []int     // symbol displayed by each agent this round (live, async)
 	counts       []int     // population display counts per symbol
 	probs        []float64 // counts as float64, reused as multinomial weights
 	mixW         []float64 // weights scratch for mix
@@ -78,6 +79,15 @@ type Runner struct {
 	streak         int
 	firstAll       int
 	lastCorrect    int
+
+	// Asynchronous schedule (NewAsync, see async.go): sched picks the
+	// activating agent, live is the current correct-opinion count, and
+	// initErr holds an out-of-alphabet initial display for New and
+	// RunContext to report.
+	async   bool
+	sched   rng.Stream
+	live    int
+	initErr error
 }
 
 // workerScratch is the preallocated private state of one worker: its agent
@@ -99,9 +109,18 @@ type workerScratch struct {
 // New validates cfg, instantiates the population (assigning roles and
 // applying any adversarial corruption), provisions all per-round scratch and
 // the persistent worker pool, and returns a ready Runner.
-func New(cfg Config) (*Runner, error) {
+func New(cfg Config) (*Runner, error) { return newRunner(cfg, false) }
+
+// newRunner is the constructor behind New and NewAsync; async selects the
+// asynchronous activation schedule.
+func newRunner(cfg Config, async bool) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if async {
+		if err := checkAsync(&cfg); err != nil {
+			return nil, err
+		}
 	}
 	backend := cfg.Backend
 	if backend == BackendAuto {
@@ -161,11 +180,14 @@ func New(cfg Config) (*Runner, error) {
 	if workers > cfg.N {
 		workers = cfg.N
 	}
+	if async {
+		workers = 1
+	}
 
 	// Vectorized fast path: eligible configs whose protocol supplies a
 	// struct-of-arrays population skip per-agent allocation entirely.
 	var pop VecPopulation
-	if vp, ok := cfg.Protocol.(VecProtocol); ok && vecEligible(&cfg, backend) {
+	if vp, ok := cfg.Protocol.(VecProtocol); ok && !async && vecEligible(&cfg, backend) {
 		pop = vp.NewVecPopulation(VecSpec{
 			Env:        env,
 			Sources1:   cfg.Sources1,
@@ -195,13 +217,14 @@ func New(cfg Config) (*Runner, error) {
 		backend:      backend,
 		workers:      workers,
 		correct:      cfg.CorrectOpinion(),
-		needDisplays: cfg.Topology != nil && pop == nil,
+		needDisplays: async || (cfg.Topology != nil && pop == nil),
 		counts:       make([]int, d),
 		probs:        make([]float64, d),
 		mixW:         make([]float64, d),
 		scratch:      make([]workerScratch, workers),
 		pop:          pop,
 		numChunks:    numChunks,
+		async:        async,
 	}
 	if pop != nil {
 		r.chunkStreams = make([]rng.Stream, numChunks)
@@ -250,6 +273,9 @@ func New(cfg Config) (*Runner, error) {
 		r.fs = newFaultState(&cfg, backend)
 	}
 	r.initPopulation()
+	if r.initErr != nil {
+		return nil, r.initErr
+	}
 	if workers > 1 {
 		r.pool = newPool(workers)
 		// Safety net: reclaim the pool goroutines if the caller forgets
@@ -263,7 +289,8 @@ func New(cfg Config) (*Runner, error) {
 // initPopulation (re)derives every agent's RNG stream and (re)builds the
 // agents, applying seeded initialization and adversarial corruption. It is
 // the shared construction path of New and Reset, so a Reset runner is
-// bit-identical to a fresh one.
+// bit-identical to a fresh one. An async runner also reseeds its scheduler
+// stream and tallies the initial displays and opinions.
 func (r *Runner) initPopulation() {
 	cfg := &r.cfg
 	r.curRound = 0
@@ -279,6 +306,9 @@ func (r *Runner) initPopulation() {
 	if r.pop != nil {
 		r.initVecPopulation()
 		return
+	}
+	if r.async {
+		r.sched.Reseed(rng.DeriveSeed(cfg.Seed, ^uint64(0)))
 	}
 	for i := range r.streams {
 		r.streams[i].Reseed(rng.DeriveSeed(cfg.Seed, uint64(i)))
@@ -303,6 +333,25 @@ func (r *Runner) initPopulation() {
 			if c, ok := a.(Corruptible); ok {
 				c.Corrupt(cfg.Corruption, wrong, &r.streams[i])
 			}
+		}
+	}
+	if !r.async {
+		return
+	}
+	r.initErr, r.live = nil, 0
+	for j := range r.probs {
+		r.probs[j] = 0
+	}
+	for i, a := range r.agents {
+		s := a.Display()
+		if s < 0 || s >= r.env.Alphabet {
+			r.initErr = fmt.Errorf("sim: agent %d displays symbol %d outside alphabet %d", i, s, r.env.Alphabet)
+			return
+		}
+		r.displays[i] = s
+		r.probs[s]++
+		if a.Opinion() == r.correct {
+			r.live++
 		}
 	}
 }
@@ -466,6 +515,9 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		return nil, errors.New("sim: Runner.Run called again without Reset")
 	}
 	r.ran = true
+	if r.initErr != nil {
+		return nil, r.initErr
+	}
 	cfg := &r.cfg
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
@@ -476,8 +528,10 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		window = 1
 	}
 
+	// The asynchronous schedule has no global clock, so a Finite protocol
+	// runs under the stability window there like any other.
 	finiteRounds := -1
-	if f, ok := cfg.Protocol.(Finite); ok {
+	if f, ok := cfg.Protocol.(Finite); ok && !r.async {
 		finiteRounds = f.Rounds(r.env)
 		if finiteRounds < 1 {
 			return nil, fmt.Errorf("sim: finite protocol reports %d rounds", finiteRounds)
@@ -580,16 +634,19 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// step executes one synchronous round and returns the number of agents
-// holding the correct opinion at its end. It performs no allocations and
-// spawns no goroutines: both phases run on the persistent worker pool with
-// preallocated scratch.
+// step executes one round and returns the number of agents holding the
+// correct opinion at its end. It performs no allocations and spawns no
+// goroutines: both phases of a synchronous round run on the persistent
+// worker pool with preallocated scratch.
 func (r *Runner) step() (int, error) {
 	if r.ce != nil {
 		return r.ce.step(r)
 	}
 	if r.pop != nil {
 		return r.stepVec()
+	}
+	if r.async {
+		return r.stepAsync()
 	}
 	// Phase A: snapshot displays, counting symbols in per-worker shards.
 	if r.pool != nil {
@@ -736,15 +793,21 @@ func (r *Runner) observe(i int, stream *rng.Stream, s *workerScratch) {
 	}
 	switch r.backend {
 	case BackendExact:
-		if r.cfg.Topology == nil {
+		var nb []int32
+		if r.cfg.Topology != nil {
+			nb = r.cfg.Topology.Neighbors(i)
+		}
+		d := r.env.Alphabet
+		switch {
+		case r.async:
+			// No round snapshot to build a mixture from: every sample reads
+			// the live displays.
+		case nb == nil:
 			for k := 0; k < h; k++ {
 				observed[r.mix.Sample(stream)]++
 			}
 			return
-		}
-		nb := r.cfg.Topology.Neighbors(i)
-		d := r.env.Alphabet
-		if len(nb)+d*d <= 2*h {
+		case len(nb)+d*d <= 2*h:
 			// Small neighborhood: build the neighborhood's observation
 			// mixture once (O(deg + d²)) and draw from its alias table,
 			// instead of paying a neighbor draw, a display load, and a
@@ -771,7 +834,12 @@ func (r *Runner) observe(i int, stream *rng.Stream, s *workerScratch) {
 			return
 		}
 		for k := 0; k < h; k++ {
-			sigma := r.displays[nb[stream.Intn(len(nb))]]
+			var sigma int
+			if nb != nil {
+				sigma = r.displays[nb[stream.Intn(len(nb))]]
+			} else {
+				sigma = r.displays[stream.Intn(r.cfg.N)]
+			}
 			observed[r.channel.Apply(stream, sigma)]++
 		}
 	case BackendAggregate:

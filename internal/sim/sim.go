@@ -1,11 +1,16 @@
-// Package sim implements the synchronous-round simulation engine for the
-// noisy PULL(h) model (paper Section 1.3).
+// Package sim implements the simulation engine for the noisy PULL(h) model
+// (paper Section 1.3).
 //
 // In each round every agent displays a symbol from the protocol alphabet Σ;
 // every agent then samples h agents uniformly at random with replacement
 // (possibly itself) and receives, for each sample, a noisy copy of the
 // displayed symbol drawn from the noise matrix row; finally every agent
 // updates its state from the multiset of observations.
+//
+// One Runner serves both schedules. New runs synchronous rounds as above;
+// NewAsync runs the same population under asynchronous activation — one
+// uniformly random agent at a time observes the live displays and updates,
+// n activations making one parallel round — on the scalar per-agent path.
 //
 // The engine offers three observation backends with identical distributions:
 //
@@ -28,7 +33,8 @@
 //
 // Determinism: every agent owns an rng stream derived from (seed, agent id),
 // and rounds are barrier-synchronized, so results are bit-identical for any
-// worker count.
+// worker count. The asynchronous schedule draws its activation order from
+// one more stream derived from the seed.
 package sim
 
 import (

@@ -239,8 +239,12 @@ func matrixBytes(m *noise.Matrix) []byte {
 // whose check happens at a round boundary. It must not be called from
 // another goroutine while Run is executing rounds.
 //
-// Snapshot fails if the protocol's agents do not implement Snapshotter.
+// Snapshot fails if the protocol's agents do not implement Snapshotter, and
+// on an asynchronous runner.
 func (r *Runner) Snapshot() ([]byte, error) {
+	if r.async {
+		return nil, errAsyncSnapshot
+	}
 	var w SnapWriter
 	w.buf = append(w.buf, snapshotMagic[:]...)
 	w.U16(snapshotVersion)
@@ -316,8 +320,12 @@ func (r *Runner) Snapshot() ([]byte, error) {
 // and fails on mismatch. After a successful Restore, RunContext continues
 // from the snapshot's round and the completed run is bit-identical to one
 // that was never interrupted. A failed Restore leaves the runner in an
-// unspecified population state; Reset it before further use.
+// unspecified population state; Reset it before further use. An
+// asynchronous runner cannot be restored.
 func (r *Runner) Restore(data []byte) error {
+	if r.async {
+		return errAsyncSnapshot
+	}
 	if len(data) < len(snapshotMagic)+2+8 {
 		return errors.New("sim: snapshot too short")
 	}

@@ -265,12 +265,6 @@ func RunBatchContext(ctx context.Context, cfg Config, seeds []uint64) ([]*Result
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkProtocolDomain(cfg.Protocol, sc.Env()); err != nil {
-		return nil, err
-	}
 	return sim.RunBatchContext(ctx, sc, seeds, cfg.Workers)
 }
 
@@ -289,12 +283,6 @@ type Runner struct {
 func NewRunner(cfg Config) (*Runner, error) {
 	sc, err := cfg.toSim()
 	if err != nil {
-		return nil, err
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkProtocolDomain(cfg.Protocol, sc.Env()); err != nil {
 		return nil, err
 	}
 	r, err := sim.New(sc)
@@ -350,19 +338,12 @@ func (r *Runner) Restore(data []byte) error { return r.r.Restore(data) }
 // Close releases the runner's worker pool. Idempotent.
 func (r *Runner) Close() { r.r.Close() }
 
-// checkProtocolDomain asks protocols that can validate their applicability
-// (SF and SSF expose Check) to do so, turning would-be construction panics
-// into errors.
-func checkProtocolDomain(p Protocol, env sim.Env) error {
-	type checker interface{ Check(sim.Env) error }
-	if c, ok := p.(checker); ok {
-		return c.Check(env)
-	}
-	return nil
-}
-
 // toSim translates the public Config into the engine configuration,
-// performing automatic noise reduction and SSF stability defaulting.
+// performing automatic noise reduction and SSF stability defaulting, and
+// validates the result: the engine's constraints first, then — for
+// protocols that can check their applicability (SF and SSF expose Check) —
+// the protocol's domain, turning would-be construction panics into errors.
+// It is the one validation path of every entry point that takes a Config.
 func (cfg Config) toSim() (sim.Config, error) {
 	if cfg.Noise == nil {
 		return sim.Config{}, errors.New("noisypull: Config.Noise is required")
@@ -410,6 +391,14 @@ func (cfg Config) toSim() (sim.Config, error) {
 			}
 		}
 	}
+	if err := sc.Validate(); err != nil {
+		return sim.Config{}, err
+	}
+	if c, ok := cfg.Protocol.(interface{ Check(sim.Env) error }); ok {
+		if err := c.Check(sc.Env()); err != nil {
+			return sim.Config{}, err
+		}
+	}
 	return sc, nil
 }
 
@@ -417,14 +406,8 @@ func (cfg Config) toSim() (sim.Config, error) {
 // applicability (noise level within the protocol's domain) — without
 // executing it.
 func (cfg Config) Check() error {
-	sc, err := cfg.toSim()
-	if err != nil {
-		return err
-	}
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	return checkProtocolDomain(cfg.Protocol, sc.Env())
+	_, err := cfg.toSim()
+	return err
 }
 
 // NoiseEstimator accumulates (displayed, observed) calibration pairs and
@@ -443,16 +426,12 @@ func NewNoiseEstimator(d int) (*NoiseEstimator, error) {
 // time is reported in parallel rounds (n activations). There are no common
 // rounds, so protocols that rely on a shared clock (SF) degrade, while SSF's
 // guarantees carry over. Workers is ignored (the schedule is sequential);
-// the same automatic Theorem 8 noise reduction as Run applies.
+// the same automatic Theorem 8 noise reduction as Run applies. The schedule
+// has no fault injection, so a config with Faults or OnFault set is
+// rejected.
 func RunAsync(cfg Config) (*Result, error) {
 	sc, err := cfg.toSim()
 	if err != nil {
-		return nil, err
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkProtocolDomain(cfg.Protocol, sc.Env()); err != nil {
 		return nil, err
 	}
 	runner, err := sim.NewAsync(sc)
