@@ -22,8 +22,9 @@ import (
 // population construction, Reset, and round loop, with three differences:
 // Finite protocols run for MaxRounds with the usual stability-window
 // semantics (a global schedule has no meaning here); activation is
-// sequential, so Workers is ignored and the runner stays on the scalar
-// per-agent path; and there is no fault injection or checkpointing —
+// sequential, so Workers is ignored and the runner runs the protocol's
+// per-agent definition (agentPop.stepAsync); and there is no fault
+// injection or checkpointing —
 // Faults, OnFault, and CheckpointEvery/OnCheckpoint are rejected, and
 // Snapshot and Restore return an error. The counts backend has no
 // individual agents to activate and is rejected too.
@@ -53,37 +54,4 @@ func checkAsync(cfg *Config) error {
 		return nil
 	}
 	return fmt.Errorf("sim: the asynchronous schedule has no fault injection or checkpointing; Config.%s must be unset", field)
-}
-
-// stepAsync executes one parallel round of the asynchronous schedule: n
-// activations, each of a uniformly random agent that observes the live
-// displays and updates at once. The display vector, the display weights
-// (r.probs), and the correct-opinion count r.live are maintained
-// incrementally from the tally initPopulation takes.
-func (r *Runner) stepAsync() (int, error) {
-	s := &r.scratch[0]
-	n, d := r.cfg.N, r.env.Alphabet
-	for k := 0; k < n; k++ {
-		i := r.sched.Intn(n)
-		a, stream := r.agents[i], &r.streams[i]
-		r.observe(i, stream, s)
-		wasCorrect := a.Opinion() == r.correct
-		a.Observe(s.observed, stream)
-		if sym := a.Display(); sym != r.displays[i] {
-			if sym < 0 || sym >= d {
-				return 0, fmt.Errorf("agent %d displayed symbol %d outside alphabet [0, %d)", i, sym, d)
-			}
-			r.probs[r.displays[i]]--
-			r.probs[sym]++
-			r.displays[i] = sym
-		}
-		if isCorrect := a.Opinion() == r.correct; isCorrect != wasCorrect {
-			if isCorrect {
-				r.live++
-			} else {
-				r.live--
-			}
-		}
-	}
-	return r.live, nil
 }

@@ -137,7 +137,6 @@ func (ce *countsEngine) step(r *Runner) (int, error) {
 		return 0, ce.initErr
 	}
 	env := r.env
-	d := env.Alphabet
 
 	// Display snapshot from class counts.
 	for j := range ce.disp {
@@ -150,13 +149,10 @@ func (ce *countsEngine) step(r *Runner) (int, error) {
 	// Per-observation distribution: one uniform sample pushed through the
 	// effective channel is the counts-weighted mixture of its rows — the
 	// identical mixture the exact backend samples from.
+	mixture(ce.obs, ce.disp, r.effRows)
 	invN := 1 / float64(r.cfg.N)
-	for j := 0; j < d; j++ {
-		acc := 0.0
-		for sigma := 0; sigma < d; sigma++ {
-			acc += float64(ce.disp[sigma]) * r.effRows[sigma][j]
-		}
-		ce.obs[j] = acc * invN
+	for j := range ce.obs {
+		ce.obs[j] *= invN
 	}
 
 	// Partition every occupied class over its successors.

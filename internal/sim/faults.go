@@ -45,29 +45,6 @@ type driftState struct {
 	from, rounds  int
 }
 
-// vecCompatibleFaults reports whether a fault schedule can run against the
-// given vectorized population. Noise swaps and drift repoint the runner's
-// effective rows (which the observation law is rebuilt from every round),
-// and crash events are masked lanes over the fault engine's shared
-// crashUntil/frozen bookkeeping — every population supports those.
-// Corruption and churn rewrite individual agent state, which needs the
-// population's cooperation: they require VecFaultPopulation, and a schedule
-// containing them sends a population without it to the scalar path.
-func vecCompatibleFaults(s *faults.Schedule, pop VecPopulation) bool {
-	if s == nil {
-		return true
-	}
-	for i := range s.Events {
-		switch s.Events[i].Kind {
-		case faults.KindCorrupt, faults.KindChurn:
-			if _, ok := pop.(VecFaultPopulation); !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // newFaultState provisions the fault runtime for a validated schedule.
 func newFaultState(cfg *Config, backend Backend) *faultState {
 	fs := &faultState{}
@@ -260,31 +237,16 @@ func clampDelta(d float64, alphabet int) float64 {
 // corruptAgents applies a mid-run corruption event on the per-agent
 // backends: each agent is selected independently with the event's fraction
 // (drawn from the fault stream, so selection is deterministic in the seed)
-// and corrupted, exactly as round-0 corruption is. The scalar path corrupts
-// through the agent's own stream; the vectorized path draws the corruption
-// randomness from the fault stream too — both run single-threaded here, so
-// either choice is deterministic and worker-independent, and the adversary
-// state written is identically distributed.
+// and corrupted, exactly as round-0 corruption is. Kernels draw the
+// corruption randomness from the fault stream too, the per-agent definition
+// from the agent's own stream; both run single-threaded here, so either is
+// deterministic and worker-independent, and the adversary state written is
+// identically distributed.
 func (r *Runner) corruptAgents(ev faults.Event) int {
-	wrong := 1 - r.correct
 	hit := 0
-	if r.pop != nil {
-		fp := r.pop.(VecFaultPopulation)
-		for i := 0; i < r.cfg.N; i++ {
-			if !r.fs.stream.Bernoulli(ev.Fraction) {
-				continue
-			}
-			fp.CorruptAt(i, ev.Corruption, wrong, &r.fs.stream)
-			hit++
-		}
-		return hit
-	}
-	for i, a := range r.agents {
-		if !r.fs.stream.Bernoulli(ev.Fraction) {
-			continue
-		}
-		if c, ok := a.(Corruptible); ok {
-			c.Corrupt(ev.Corruption, wrong, &r.streams[i])
+	for i := 0; i < r.cfg.N; i++ {
+		if r.fs.stream.Bernoulli(ev.Fraction) {
+			r.pop.CorruptAt(i, ev.Corruption, 1-r.correct, &r.fs.stream)
 			hit++
 		}
 	}
@@ -303,7 +265,7 @@ func (r *Runner) crashAgents(round int, ev faults.Event) int {
 			continue
 		}
 		if fs.crashUntil[i] <= round {
-			fs.frozen[i] = r.displayAt(i)
+			fs.frozen[i], _ = r.pop.State(i)
 		}
 		if until > fs.crashUntil[i] {
 			fs.crashUntil[i] = until
@@ -320,39 +282,15 @@ func (r *Runner) crashAgents(round int, ev faults.Event) int {
 func (r *Runner) churnAgents(ev faults.Event) int {
 	fs := r.fs
 	cfg := &r.cfg
-	wrong := 1 - r.correct
 	hit := 0
-	if r.pop != nil {
-		fp := r.pop.(VecFaultPopulation)
-		for i := cfg.Sources1 + cfg.Sources0; i < cfg.N; i++ {
-			if !fs.stream.Bernoulli(ev.Fraction) {
-				continue
-			}
-			fp.ReinitAt(i, &fs.stream)
-			if ev.Corruption != CorruptNone {
-				fp.CorruptAt(i, ev.Corruption, wrong, &fs.stream)
-			}
-			if fs.crashUntil != nil {
-				fs.crashUntil[i] = 0
-			}
-			hit++
-		}
-		return hit
-	}
 	for i := cfg.Sources1 + cfg.Sources0; i < cfg.N; i++ {
 		if !fs.stream.Bernoulli(ev.Fraction) {
 			continue
 		}
-		a := cfg.Protocol.NewAgent(i, Role{}, r.env)
-		if s, ok := a.(Seeder); ok {
-			s.SeedInit(&r.streams[i])
-		}
+		r.pop.ReinitAt(i, &fs.stream)
 		if ev.Corruption != CorruptNone {
-			if c, ok := a.(Corruptible); ok {
-				c.Corrupt(ev.Corruption, wrong, &r.streams[i])
-			}
+			r.pop.CorruptAt(i, ev.Corruption, 1-r.correct, &fs.stream)
 		}
-		r.agents[i] = a
 		if fs.crashUntil != nil {
 			fs.crashUntil[i] = 0
 		}

@@ -10,7 +10,14 @@
 // One Runner serves both schedules. New runs synchronous rounds as above;
 // NewAsync runs the same population under asynchronous activation — one
 // uniformly random agent at a time observes the live displays and updates,
-// n activations making one parallel round — on the scalar per-agent path.
+// n activations making one parallel round — with the protocol's per-agent
+// definition.
+//
+// The per-agent backends run one round loop over a VecPopulation (see
+// vector.go): a protocol kernel that stores the population as flat slices,
+// or agentPop (agents.go), which runs Protocol.NewAgent agents on the same
+// loop — under Config.ForceScalar and NewAsync, and for protocols without a
+// kernel.
 //
 // The engine offers three observation backends with identical distributions:
 //
@@ -31,10 +38,13 @@
 // information available to the anonymous agents of the model (observations
 // within a round carry no identity or order).
 //
-// Determinism: every agent owns an rng stream derived from (seed, agent id),
-// and rounds are barrier-synchronized, so results are bit-identical for any
-// worker count. The asynchronous schedule draws its activation order from
-// one more stream derived from the seed.
+// Determinism: a kernel draws from one rng stream per fixed-size chunk of
+// agents, derived from (seed, chunk index); the per-agent definition gives
+// every agent its own stream, derived from (seed, agent id). Either way
+// rounds are barrier-synchronized and cross-worker merges are integer sums,
+// so results are bit-identical for any worker count. The asynchronous
+// schedule draws its activation order from one more stream derived from the
+// seed.
 package sim
 
 import (
@@ -304,16 +314,13 @@ type Config struct {
 	// Workers is the number of goroutines stepping agents; 0 means
 	// GOMAXPROCS. Results do not depend on it.
 	Workers int
-	// ForceScalar disables the vectorized struct-of-arrays fast path and
-	// keeps the run on the per-agent scalar engine even when the config is
-	// vec-eligible. The vectorized path now covers graph topologies,
-	// alphabets > 2, and the full fault palette (see vecEligible), so for
-	// exact/aggregate runs of a VecProtocol this flag is the main way to
-	// reach the scalar engine. The two paths draw randomness differently, so
+	// ForceScalar runs the protocol's per-agent definition (Protocol.NewAgent
+	// agents, each with its own rng stream) on the same round loop instead
+	// of the protocol's kernel. The two draw randomness differently, so
 	// their trajectories differ bit-wise (each is individually
-	// deterministic); tests and A/B comparisons use this to pick the path
-	// explicitly, and recorded pre-vectorization traces stay reproducible
-	// under it.
+	// deterministic); tests and A/B comparisons use this to pick the
+	// definition explicitly, and recorded per-agent traces stay
+	// reproducible under it.
 	ForceScalar bool
 	// TrackHistory records the per-round count of agents holding the
 	// correct opinion in Result.History.

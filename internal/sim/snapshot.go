@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"noisypull/internal/faults"
 	"noisypull/internal/noise"
@@ -31,19 +32,23 @@ import (
 // Version policy: the version is bumped whenever the layout or any field
 // semantics change; Restore rejects versions it does not know. A snapshot
 // also embeds a fingerprint of the runner configuration (population shape,
-// seed, protocol identity, backend, noise entries), so restoring into a
-// runner whose trajectory would diverge fails loudly instead of silently.
+// seed, protocol type and parameters, backend, noise entries, fault
+// schedule, topology adjacency), so restoring into a runner whose
+// trajectory would diverge fails loudly instead of silently.
 
-// snapshotVersion is the current encoding version.
-const snapshotVersion = 1
+// snapshotVersion is the current encoding version. Version 2 changed the
+// fingerprint to hash protocol parameters, fault matrices by value, and the
+// topology's adjacency.
+const snapshotVersion = 2
 
 // snapshotMagic prefixes every snapshot ("noisy pull simulation snapshot").
 var snapshotMagic = [4]byte{'n', 'p', 's', 's'}
 
-// Population section markers. A snapshot's marker must match the engine
-// path of the restoring runner: the scalar and vectorized paths consume
-// randomness differently, so restoring across them would silently change
-// the trajectory — Restore rejects the mismatch instead.
+// Population section markers. A snapshot's marker must match the
+// population of the restoring runner: a kernel draws from chunk streams and
+// the per-agent definition (agentPop) from per-agent streams, so restoring
+// across them would silently change the trajectory — Restore rejects the
+// mismatch instead.
 const (
 	snapPopAgents = 1
 	snapPopCounts = 2
@@ -188,14 +193,17 @@ func fnv1a(h uint64, data []byte) uint64 {
 }
 
 // fingerprint hashes the parts of the configuration a snapshot's trajectory
-// depends on: population shape, seed, protocol identity, backend, and the
-// exact noise (and artificial-noise) matrix entries. MaxRounds and the
-// stability window are deliberately excluded — they only decide when a run
-// stops, not where it goes — so a snapshot may be resumed under a different
-// round budget.
+// depends on: population shape, seed, the protocol's type and parameters,
+// backend, the exact noise (and artificial-noise) matrix entries, the fault
+// schedule, and the topology's adjacency. MaxRounds and the stability window
+// are deliberately excluded — they only decide when a run stops, not where
+// it goes — so a snapshot may be resumed under a different round budget.
+// Parameters are encoded by value (pointers followed, never printed), so
+// the fingerprint is the same in every process.
 func (r *Runner) fingerprint() uint64 {
 	c := &r.cfg
 	var w SnapWriter
+	w.buf = append(w.buf, fmt.Sprintf("%T", c.Protocol)...)
 	w.Int(c.N)
 	w.Int(c.H)
 	w.Int(c.Sources1)
@@ -204,32 +212,57 @@ func (r *Runner) fingerprint() uint64 {
 	w.Int(int(r.backend))
 	w.Int(r.env.Alphabet)
 	w.Int(int(c.Corruption))
-	h := fnv1a(0, []byte(fmt.Sprintf("%T", c.Protocol)))
-	h = fnv1a(h, w.Bytes())
-	h = fnv1a(h, matrixBytes(c.Noise))
-	h = fnv1a(h, matrixBytes(c.Artificial))
-	if c.Faults != nil {
-		h = fnv1a(h, []byte(fmt.Sprintf("%+v", c.Faults.Events)))
+	writeValue(&w, reflect.ValueOf([]any{c.Protocol, c.Noise, c.Artificial, c.Faults}))
+	if c.Topology != nil && r.topoHash == 0 {
+		off, adj := c.Topology.CSR()
+		r.topoHash = fnvInt32s(fnvInt32s(fnv1a(0, nil), off), adj)
 	}
-	if c.Topology != nil {
-		h = fnv1a(h, []byte(fmt.Sprintf("topo:%d:%d", c.Topology.N(), c.Topology.MinDegree())))
-	}
-	return h
+	w.U64(r.topoHash)
+	return fnv1a(0, w.Bytes())
 }
 
-func matrixBytes(m *noise.Matrix) []byte {
-	if m == nil {
-		return []byte{0}
+// writeValue appends v's content to w, following pointers and interfaces;
+// maps, funcs and channels contribute only their kind.
+func writeValue(w *SnapWriter, v reflect.Value) {
+	w.U8(uint8(v.Kind()))
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			writeValue(w, v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			writeValue(w, v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		w.Int(v.Len())
+		for i := 0; i < v.Len(); i++ {
+			writeValue(w, v.Index(i))
+		}
+	case reflect.Bool:
+		w.Bool(v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		w.I64(v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		w.U64(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		w.F64(v.Float())
+	case reflect.String:
+		w.Int(v.Len())
+		w.buf = append(w.buf, v.String()...)
 	}
-	var w SnapWriter
-	d := m.Alphabet()
-	w.Int(d)
-	for i := 0; i < d; i++ {
-		for _, v := range m.Row(i) {
-			w.F64(v)
+}
+
+// fnvInt32s folds xs into an FNV-1a running hash without materializing
+// their bytes (a 10⁶-agent graph's adjacency is tens of megabytes).
+func fnvInt32s(h uint64, xs []int32) uint64 {
+	for _, x := range xs {
+		for k := 0; k < 32; k += 8 {
+			h ^= uint64(byte(x >> k))
+			h *= 0x100000001b3
 		}
 	}
-	return w.Bytes()
+	return h
 }
 
 // Snapshot encodes the runner's complete mutable state at the last completed
@@ -264,28 +297,23 @@ func (r *Runner) Snapshot() ([]byte, error) {
 		for _, c := range r.ce.counts {
 			w.Int(c)
 		}
-	} else if r.pop != nil {
-		w.U8(snapPopVec)
-		w.Int(r.numChunks)
-		for c := range r.chunkStreams {
-			for _, s := range r.chunkStreams[c].State() {
-				w.U64(s)
+	} else {
+		if ap := r.adapter(); ap != nil {
+			if err := ap.snapshottable(); err != nil {
+				return nil, err
+			}
+			w.U8(snapPopAgents)
+			w.Int(r.cfg.N)
+		} else {
+			w.U8(snapPopVec)
+			w.Int(r.numChunks)
+			for c := range r.chunkStreams {
+				for _, s := range r.chunkStreams[c].State() {
+					w.U64(s)
+				}
 			}
 		}
 		r.pop.SnapshotRange(&w, 0, r.cfg.N)
-	} else {
-		w.U8(snapPopAgents)
-		w.Int(len(r.agents))
-		for i, a := range r.agents {
-			snap, ok := a.(Snapshotter)
-			if !ok {
-				return nil, fmt.Errorf("sim: protocol agent %T does not implement Snapshotter; checkpoint/resume is unavailable", a)
-			}
-			for _, s := range r.streams[i].State() {
-				w.U64(s)
-			}
-			snap.SnapshotState(&w)
-		}
 	}
 
 	if r.fs == nil {
@@ -381,50 +409,37 @@ func (r *Runner) Restore(data []byte) error {
 		if rd.Err() == nil && total != r.cfg.N {
 			return fmt.Errorf("sim: snapshot counts sum to %d, population is %d", total, r.cfg.N)
 		}
-	case snapPopVec:
+	case snapPopVec, snapPopAgents:
 		if r.pop == nil {
-			return errors.New("sim: vectorized snapshot, but runner is not on the vectorized path (counts backend, scalar path, or ForceScalar)")
+			return errors.New("sim: per-agent snapshot, but runner uses the counts backend")
 		}
-		k := rd.Int()
-		if k != r.numChunks {
-			return fmt.Errorf("sim: snapshot has %d chunk streams, runner has %d", k, r.numChunks)
-		}
-		for c := 0; c < k && rd.Err() == nil; c++ {
-			var st [4]uint64
-			for j := range st {
-				st[j] = rd.U64()
+		onAdapter := r.adapter() != nil
+		switch {
+		case marker == snapPopVec && onAdapter:
+			return errors.New("sim: vectorized snapshot, but runner is not on the vectorized path (ForceScalar, or a protocol without a kernel)")
+		case marker == snapPopAgents && !onAdapter:
+			return errors.New("sim: scalar per-agent snapshot, but runner is on the vectorized path; rebuild the runner with ForceScalar to restore it")
+		case onAdapter:
+			if n := rd.Int(); n != r.cfg.N {
+				return fmt.Errorf("sim: snapshot has %d agents, runner has %d", n, r.cfg.N)
 			}
-			if err := r.chunkStreams[c].SetState(st); err != nil {
-				return err
+		default:
+			k := rd.Int()
+			if k != r.numChunks {
+				return fmt.Errorf("sim: snapshot has %d chunk streams, runner has %d", k, r.numChunks)
+			}
+			for c := 0; c < k && rd.Err() == nil; c++ {
+				var st [4]uint64
+				for j := range st {
+					st[j] = rd.U64()
+				}
+				if err := r.chunkStreams[c].SetState(st); err != nil {
+					return err
+				}
 			}
 		}
 		if err := r.pop.RestoreRange(rd, 0, r.cfg.N); err != nil {
 			return err
-		}
-	case snapPopAgents:
-		if r.ce != nil {
-			return errors.New("sim: per-agent snapshot, but runner uses the counts backend")
-		}
-		if r.pop != nil {
-			return errors.New("sim: scalar per-agent snapshot, but runner is on the vectorized path; rebuild the runner with ForceScalar to restore it")
-		}
-		n := rd.Int()
-		if n != len(r.agents) {
-			return fmt.Errorf("sim: snapshot has %d agents, runner has %d", n, len(r.agents))
-		}
-		for i := 0; i < n && rd.Err() == nil; i++ {
-			var st [4]uint64
-			for j := range st {
-				st[j] = rd.U64()
-			}
-			if err := r.streams[i].SetState(st); err != nil {
-				return err
-			}
-			snap, ok := r.agents[i].(Snapshotter)
-			if !ok {
-				return fmt.Errorf("sim: protocol agent %T does not implement Snapshotter", r.agents[i])
-			}
-			snap.RestoreState(rd)
 		}
 	default:
 		return fmt.Errorf("sim: unknown population marker %d", marker)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"noisypull/internal/faults"
+	"noisypull/internal/graph"
 	"noisypull/internal/noise"
 	"noisypull/internal/protocol"
 	"noisypull/internal/sim"
@@ -378,4 +379,104 @@ func TestSnapshotRestoreRejections(t *testing.T) {
 			t.Fatal("garbage accepted")
 		}
 	})
+}
+
+// TestSnapshotFingerprintRejectsConfigChanges: a checkpoint restores only
+// into the configuration it was taken under. Each row changes one thing the
+// trajectory depends on but the population shape does not show — the
+// graph's adjacency, a protocol option, the protocol variant — and the
+// restore must fail; restoring into a runner rebuilt from fresh values of
+// the same configuration must still succeed.
+func TestSnapshotFingerprintRejectsConfigChanges(t *testing.T) {
+	ring, err := graph.Ring(200, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regular, err := graph.RandomRegular(200, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringCopy, err := graph.Ring(200, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := func(proto sim.Protocol, d int) sim.Config {
+		return sim.Config{
+			N: 200, H: 8, Sources1: 4, Sources0: 1,
+			Noise:     uniformNoise(t, d, 0.1),
+			Protocol:  proto,
+			Seed:      21,
+			Backend:   sim.BackendExact,
+			MaxRounds: 50,
+		}
+	}
+	cases := []struct {
+		name     string
+		from, to sim.Config
+	}{
+		{"ring into random regular", withTopology(base(protocol.Voter{}, 2), ring), withTopology(base(protocol.Voter{}, 2), regular)},
+		{"ssf quota 64 into quota 32",
+			base(protocol.NewSSF(protocol.WithSSFUpdateQuota(64)), 4),
+			base(protocol.NewSSF(protocol.WithSSFUpdateQuota(32)), 4)},
+		{"scalar sf into sf alternating",
+			withForceScalar(base(protocol.NewSF(), 2)),
+			withForceScalar(base(protocol.NewSFAlternating(), 2))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := sim.New(tc.from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			snap, err := src.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := sim.New(tc.to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			if err := dst.Restore(snap); err == nil {
+				t.Fatal("snapshot restored into a different configuration")
+			}
+		})
+	}
+	t.Run("same configuration rebuilt", func(t *testing.T) {
+		for _, pair := range [][2]sim.Config{
+			{withTopology(base(protocol.Voter{}, 2), ring), withTopology(base(protocol.Voter{}, 2), ringCopy)},
+			{base(protocol.NewSSF(protocol.WithSSFUpdateQuota(64)), 4), base(protocol.NewSSF(protocol.WithSSFUpdateQuota(64)), 4)},
+			{withForceScalar(base(protocol.NewSFAlternating(), 2)), withForceScalar(base(protocol.NewSFAlternating(), 2))},
+		} {
+			src, err := sim.New(pair[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := src.Snapshot()
+			src.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := sim.New(pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = dst.Restore(snap)
+			dst.Close()
+			if err != nil {
+				t.Fatalf("%T: %v", pair[0].Protocol, err)
+			}
+		}
+	})
+}
+
+func withTopology(c sim.Config, g *graph.Graph) sim.Config {
+	c.Topology = g
+	return c
+}
+
+func withForceScalar(c sim.Config) sim.Config {
+	c.ForceScalar = true
+	return c
 }

@@ -1,6 +1,6 @@
 package sim
 
-// Vectorized struct-of-arrays engine path.
+// The synchronous round loop over a VecPopulation.
 //
 // One round of the exact and aggregate backends factors through a small
 // per-round law instead of h individual channel applications per agent:
@@ -24,7 +24,7 @@ package sim
 //     that is almost all of them.
 //
 // Instead of materializing one heap agent, one RNG stream, and h alias
-// draws per agent, a protocol keeps its population as flat slices (a
+// draws per agent, a protocol kernel keeps its population as flat slices (a
 // VecPopulation) and each round runs two bulk passes — count displays (or
 // snapshot them, on a graph), then draw the per-agent law and update state
 // in place.
@@ -37,19 +37,20 @@ package sim
 // any Workers/GOMAXPROCS setting — the worker→chunk assignment only decides
 // who executes a chunk, never what it draws.
 //
-// Fault schedules run on this path too: noise swaps and drift repoint the
+// Fault schedules run on this loop too: noise swaps and drift repoint the
 // effective rows the law is rebuilt from every round; crash faults mask the
 // crashed lanes (their stale display snapshot feeds the law, and kernels
-// skip their draws and updates, exactly like the scalar path); corruption
-// and churn rewrite agent state in place through the optional
-// VecFaultPopulation interface, single-threaded at the round top from the
-// fault stream, so their timing and selection are deterministic in the seed.
+// skip their draws and updates); corruption and churn rewrite agent state
+// in place through CorruptAt and ReinitAt, single-threaded at the round top
+// from the fault stream, so their timing and selection are deterministic in
+// the seed.
 //
-// The path is taken automatically when the configuration is eligible (see
-// vecEligible); Config.ForceScalar pins the legacy per-agent path. The two
-// paths consume randomness differently, so for the same seed they produce
-// different — individually deterministic, distributionally identical —
-// trajectories.
+// The protocol's per-agent definition runs on the same loop as one more
+// population, agentPop (agents.go): it is used under Config.ForceScalar and
+// NewAsync, and for protocols without a kernel. It draws from per-agent
+// streams instead of chunk streams, so for the same seed a kernel and the
+// per-agent definition produce different — individually deterministic,
+// distributionally identical — trajectories.
 
 import (
 	"noisypull/internal/graph"
@@ -67,7 +68,7 @@ const VecChunkSize = 4096
 // vecStreamID is the derivation base for per-chunk streams; chunk c uses
 // DeriveSeed(seed, vecStreamID + c). The base is far outside the per-agent
 // id range [0, n) and the other engine stream salts, so chunk streams never
-// collide with scalar-path or fault streams under the same seed.
+// collide with per-agent or fault streams under the same seed.
 const vecStreamID uint64 = 0x76656363_5eed0005
 
 // VecObs is the round's shared observation law, built once at the Phase A
@@ -102,7 +103,7 @@ type VecObs struct {
 
 // Crashed reports whether agent i is crash-frozen this round. Kernels must
 // skip the draws and the state update of a crashed agent and tally its
-// current opinion unchanged — the contract the scalar path implements.
+// current opinion unchanged.
 func (o *VecObs) Crashed(i int) bool {
 	return o.crashUntil != nil && o.crashUntil[i] > o.round
 }
@@ -265,13 +266,7 @@ func (nb *vecNbrObs) counts(i int, r *rng.Stream, out []int) {
 	for _, v := range nb.adj[nb.off[i]:nb.off[i+1]] {
 		cnt[nb.displays[v]]++
 	}
-	for j := 0; j < nb.d; j++ {
-		acc := 0.0
-		for sigma := 0; sigma < nb.d; sigma++ {
-			acc += float64(cnt[sigma]) * nb.effRows[sigma][j]
-		}
-		c.w[j] = acc
-	}
+	mixture(c.w, cnt, nb.effRows)
 	c.mult.Init(nb.h, c.w)
 	c.mult.Sample(r, out)
 }
@@ -294,10 +289,12 @@ type VecSpec struct {
 // Role returns the role of agent i under the spec's layout.
 func (s *VecSpec) Role(i int) Role { return roleOf(i, s.Sources1, s.Sources0) }
 
-// VecPopulation is a protocol population stored as flat slices, advanced by
-// bulk kernels over index ranges. Range methods are called for chunk-aligned
-// [lo, hi) slices; distinct ranges are processed concurrently, so a kernel
-// must only touch state of agents inside its range.
+// VecPopulation is a protocol population advanced by bulk passes over
+// index ranges: a protocol kernel storing the population as flat slices, or
+// the engine's own adapter over Protocol.NewAgent agents. Range methods are
+// called for chunk-aligned [lo, hi) slices; distinct ranges are processed
+// concurrently, so a kernel must only touch state of agents inside its
+// range.
 type VecPopulation interface {
 	// InitRange (re)initializes agents [lo, hi): role assignment, seeded
 	// initialization, and the spec's round-0 corruption, drawing any needed
@@ -318,16 +315,25 @@ type VecPopulation interface {
 	StepRange(lo, hi int, obs *VecObs, r *rng.Stream) int
 	// State returns agent i's current display symbol and opinion.
 	State(i int) (display, opinion int)
+	// CorruptAt applies the mid-run corruption adversary to agent i,
+	// mirroring the protocol's per-agent Corrupt (including its role
+	// checks). It and ReinitAt are called single-threaded between rounds
+	// with the engine's fault stream, so they may touch any agent state.
+	CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Stream)
+	// ReinitAt resets agent i to a freshly arrived non-source — the state a
+	// new agent has after NewAgent + SeedInit, without the spec's round-0
+	// corruption. The engine only churns non-sources.
+	ReinitAt(i int, r *rng.Stream)
 	// SnapshotRange serializes agents [lo, hi).
 	SnapshotRange(w *SnapWriter, lo, hi int)
 	// RestoreRange deserializes agents [lo, hi), validating every field.
 	RestoreRange(rd *SnapReader, lo, hi int) error
 }
 
-// VecProtocol is implemented by protocols that provide a vectorized
-// population. NewVecPopulation may return nil when the protocol's options
-// or environment have no vectorized kernel; the engine then falls back to
-// the per-agent path.
+// VecProtocol is implemented by protocols that provide a kernel.
+// NewVecPopulation may return nil when the protocol's options or
+// environment have no kernel; the engine then runs the protocol's per-agent
+// definition instead.
 type VecProtocol interface {
 	Protocol
 	NewVecPopulation(spec VecSpec) VecPopulation
@@ -338,43 +344,6 @@ type VecProtocol interface {
 // it.
 type VecWeakOpinions interface {
 	WeakOpinionAt(i int) int
-}
-
-// VecFaultPopulation is optionally implemented by populations that support
-// agent-granular fault application, the vectorized counterpart of the
-// scalar path's Corruptible + rebuild-on-churn semantics. Both methods are
-// called single-threaded between rounds with the engine's fault stream, so
-// implementations may touch any agent state without synchronization.
-type VecFaultPopulation interface {
-	// CorruptAt applies the mid-run corruption adversary to agent i,
-	// mirroring the protocol's scalar Corrupt (including its role checks).
-	CorruptAt(i int, mode CorruptionMode, wrong int, r *rng.Stream)
-	// ReinitAt resets agent i to a freshly arrived non-source — the state a
-	// new scalar agent has after NewAgent + SeedInit, without the spec's
-	// round-0 corruption. The engine only churns non-sources.
-	ReinitAt(i int, r *rng.Stream)
-}
-
-// vecEligible reports whether the configuration may take the vectorized
-// path. Graph topologies (per-neighborhood laws), alphabets > 2 (cached
-// multinomial batching), and the full fault-schedule palette are all
-// handled on the vectorized path, so the predicate is opt-out- and
-// backend-only. The remaining exclusions, each with its reason:
-//
-//   - Config.ForceScalar — the explicit pin to the legacy per-agent path.
-//   - BackendCounts — tracks class counts; there is no per-agent state to
-//     vectorize (and it is already O(1) in n).
-//   - Protocols that do not implement VecProtocol, or whose
-//     NewVecPopulation returns nil for the given spec — no bulk kernel
-//     exists, so New falls back to the scalar path at construction.
-//   - Corruption/churn schedules whose population does not implement
-//     VecFaultPopulation (see vecCompatibleFaults) — those faults rewrite
-//     individual agent state, which needs population cooperation.
-func vecEligible(cfg *Config, backend Backend) bool {
-	if cfg.ForceScalar {
-		return false
-	}
-	return backend == BackendExact || backend == BackendAggregate
 }
 
 // numVecChunks returns the chunk count for an n-agent population.
@@ -390,98 +359,50 @@ func (r *Runner) chunkBounds(c int) (lo, hi int) {
 	return lo, hi
 }
 
-// initVecPopulation is initPopulation for the vectorized path: reseed every
-// chunk stream from the run seed and rebuild the population state in place.
-func (r *Runner) initVecPopulation() {
-	for c := 0; c < r.numChunks; c++ {
-		r.chunkStreams[c].Reseed(rng.DeriveSeed(r.cfg.Seed, vecStreamID+uint64(c)))
-		lo, hi := r.chunkBounds(c)
-		r.pop.InitRange(lo, hi, &r.chunkStreams[c])
+// phase runs one round phase over every worker's chunks, on the pool when
+// there is one.
+func (r *Runner) phase(ph int) {
+	if r.pool != nil {
+		r.pool.dispatch(ph)
+	} else if ph == phaseCount {
+		r.countRange(0)
+	} else {
+		r.stepRange(0)
 	}
 }
 
-// stepVec executes one synchronous round on the vectorized path. Phase A
-// counts displays in per-worker shards (complete graph) or publishes the
-// display vector (topology); the barrier folds in the crash mask and builds
-// the round's observation law; Phase B steps every chunk with its own
-// stream. Like the scalar step, it allocates nothing in steady state.
+// stepVec executes one synchronous round. Phase A counts displays in
+// per-worker shards (complete graph) or publishes the display vector
+// (kernel on a graph); the barrier folds in the crash mask and builds the
+// round's observation law; Phase B steps every chunk with its own stream.
+// It allocates nothing in steady state.
 func (r *Runner) stepVec() (int, error) {
-	if r.pool != nil {
-		r.pool.dispatch(phaseSnapshot)
-	} else {
-		r.vecCountRange(0)
+	ap := r.adapter()
+	if ap != nil {
+		ap.round = r.curRound
 	}
+	r.phase(phaseCount)
 	round := r.curRound
 	var crashUntil []int
-	if r.fs != nil && r.fs.crashUntil != nil {
+	if r.fs != nil {
 		crashUntil = r.fs.crashUntil
 	}
+	r.vecObs = VecObs{H: r.cfg.H, crashUntil: crashUntil, round: round}
 	if r.vecNbr != nil {
 		// Masked lanes: a crashed agent's neighbors keep seeing the display
 		// it froze with, not its live state.
-		if crashUntil != nil {
-			for i, until := range crashUntil {
-				if until > round {
-					r.vecNbr.displays[i] = uint8(r.fs.frozen[i])
-				}
+		for i, until := range crashUntil {
+			if until > round {
+				r.vecNbr.displays[i] = uint8(r.fs.frozen[i])
 			}
 		}
 		r.vecNbr.resetRound(r.noiseEpoch)
-		r.vecObs = VecObs{H: r.cfg.H, nbr: r.vecNbr, crashUntil: crashUntil, round: round}
-	} else {
-		for j := range r.counts {
-			r.counts[j] = 0
-		}
-		for w := range r.scratch {
-			for j, c := range r.scratch[w].shard {
-				r.counts[j] += c
-			}
-		}
-		// Phase A counted live displays; swap crashed agents' contributions
-		// for their stale crash-time snapshot (they differ only when a
-		// corruption fault rewrote a crashed agent's state mid-freeze).
-		if crashUntil != nil {
-			for i, until := range crashUntil {
-				if until > round {
-					live, _ := r.pop.State(i)
-					r.counts[live]--
-					r.counts[r.fs.frozen[i]]++
-				}
-			}
-		}
-		// One observation is a uniform display pushed through the composed
-		// channel: a draw from the counts-weighted mixture of effective rows.
-		if r.env.Alphabet == 2 {
-			q1 := (float64(r.counts[0])*r.effRows[0][1] + float64(r.counts[1])*r.effRows[1][1]) / float64(r.cfg.N)
-			r.binDist.Init(r.cfg.H, q1)
-			r.vecObs = VecObs{H: r.cfg.H, Q1: q1, Bin: &r.binDist, crashUntil: crashUntil, round: round}
-		} else {
-			d := r.env.Alphabet
-			invN := 1 / float64(r.cfg.N)
-			for j := 0; j < d; j++ {
-				acc := 0.0
-				for sigma := 0; sigma < d; sigma++ {
-					acc += float64(r.counts[sigma]) * r.effRows[sigma][j]
-				}
-				r.vecQ[j] = acc * invN
-			}
-			r.multDist.Init(r.cfg.H, r.vecQ)
-			// The round sampler is shared by every agent, so precomputing its
-			// draw tables here — joint alias when the support is small, cached
-			// conditional binomials otherwise — amortizes across the whole
-			// population before the concurrent Phase B reads it.
-			if !r.multDist.PrecomputeJoint(maxJointSupport) {
-				r.multDist.PrecomputeCond()
-			}
-			r.vecObs = VecObs{H: r.cfg.H, Q: r.vecQ, Mult: &r.multDist, crashUntil: crashUntil, round: round}
-		}
+		r.vecObs.nbr = r.vecNbr
+	} else if err := r.buildLaw(ap, crashUntil, round); err != nil {
+		return 0, err
 	}
 
-	if r.pool != nil {
-		r.pool.dispatch(phaseObserve)
-	} else {
-		r.vecStepRange(0)
-	}
+	r.phase(phaseStep)
 	ones := 0
 	for w := range r.scratch {
 		ones += r.scratch[w].partial
@@ -492,18 +413,67 @@ func (r *Runner) stepVec() (int, error) {
 	return r.cfg.N - ones, nil
 }
 
-// vecCountRange is Phase A for worker w: accumulate display counts of the
-// worker's chunks into its shard — or, on a graph, publish their displays
-// into the shared display vector (chunks are disjoint index ranges, so the
-// writes never overlap). Chunk→worker assignment is a static stride; it
-// affects only who processes a chunk, and integer sums commute, so the
-// merged state is independent of the worker count.
-func (r *Runner) vecCountRange(w int) {
+// buildLaw merges the Phase A count shards and builds the round's
+// complete-graph observation law: the adapter's reference sampler, or the
+// kernels' shared binomial or multinomial.
+func (r *Runner) buildLaw(ap *agentPop, crashUntil []int, round int) error {
+	for j := range r.counts {
+		r.counts[j] = 0
+	}
+	for w := range r.scratch {
+		for j, c := range r.scratch[w].shard {
+			r.counts[j] += c
+		}
+	}
+	if ap != nil {
+		return ap.buildLaw(r.counts, r.channel)
+	}
+	// Phase A counted live displays; swap crashed agents' contributions
+	// for their stale crash-time snapshot (they differ only when a
+	// corruption fault rewrote a crashed agent's state mid-freeze).
+	for i, until := range crashUntil {
+		if until > round {
+			live, _ := r.pop.State(i)
+			r.counts[live]--
+			r.counts[r.fs.frozen[i]]++
+		}
+	}
+	// One observation is a uniform display pushed through the composed
+	// channel: a draw from the counts-weighted mixture of effective rows.
+	if r.env.Alphabet == 2 {
+		q1 := (float64(r.counts[0])*r.effRows[0][1] + float64(r.counts[1])*r.effRows[1][1]) / float64(r.cfg.N)
+		r.binDist.Init(r.cfg.H, q1)
+		r.vecObs.Q1, r.vecObs.Bin = q1, &r.binDist
+		return nil
+	}
+	mixture(r.vecQ, r.counts, r.effRows)
+	invN := 1 / float64(r.cfg.N)
+	for j := range r.vecQ {
+		r.vecQ[j] *= invN
+	}
+	r.multDist.Init(r.cfg.H, r.vecQ)
+	// The round sampler is shared by every agent, so precomputing its draw
+	// tables here — joint alias when the support is small, cached
+	// conditional binomials otherwise — amortizes across the whole
+	// population before the concurrent Phase B reads it.
+	if !r.multDist.PrecomputeJoint(maxJointSupport) {
+		r.multDist.PrecomputeCond()
+	}
+	r.vecObs.Q, r.vecObs.Mult = r.vecQ, &r.multDist
+	return nil
+}
+
+// countRange is Phase A for worker w: accumulate display counts of the
+// worker's chunks into its shard — or, for a kernel on a graph, publish
+// their displays into the shared display vector (chunks are disjoint index
+// ranges, so the writes never overlap). Chunk→worker assignment is a
+// static stride; it affects only who processes a chunk, and integer sums
+// commute, so the merged state is independent of the worker count.
+func (r *Runner) countRange(w int) {
 	s := &r.scratch[w]
 	for j := range s.shard {
 		s.shard[j] = 0
 	}
-	s.err = nil
 	for c := w; c < r.numChunks; c += r.workers {
 		lo, hi := r.chunkBounds(c)
 		if r.vecNbr != nil {
@@ -514,14 +484,13 @@ func (r *Runner) vecCountRange(w int) {
 	}
 }
 
-// vecStepRange is Phase B for worker w: step the worker's chunks, each with
+// stepRange is Phase B for worker w: step the worker's chunks, each with
 // its private stream, accumulating the opinion-1 tally.
-func (r *Runner) vecStepRange(w int) {
-	s := &r.scratch[w]
+func (r *Runner) stepRange(w int) {
 	ones := 0
 	for c := w; c < r.numChunks; c += r.workers {
 		lo, hi := r.chunkBounds(c)
 		ones += r.pop.StepRange(lo, hi, &r.vecObs, &r.chunkStreams[c])
 	}
-	s.partial = ones
+	r.scratch[w].partial = ones
 }

@@ -195,7 +195,20 @@ func vecCases() []vecCase {
 // commutative integer sums.
 func TestVecBitIdenticalAcrossParallelism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// The per-agent definition (ForceScalar) strides chunks across workers
+	// too; only multi-chunk populations give it more than one.
+	cases := vecCases()
 	for _, tc := range vecCases() {
+		if tc.cfg(t, 42).N >= 2*sim.VecChunkSize {
+			cfg := tc.cfg
+			cases = append(cases, vecCase{name: "scalar " + tc.name, cfg: func(t *testing.T, seed uint64) sim.Config {
+				c := cfg(t, seed)
+				c.ForceScalar = true
+				return c
+			}})
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var refRes *sim.Result
 			var refSnap []byte
@@ -208,8 +221,8 @@ func TestVecBitIdenticalAcrossParallelism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !r.Vectorized() {
-						t.Fatalf("GOMAXPROCS=%d workers=%d: expected the vectorized path", procs, workers)
+					if r.Vectorized() == cfg.ForceScalar {
+						t.Fatalf("GOMAXPROCS=%d workers=%d: Vectorized() = %v with ForceScalar = %v", procs, workers, r.Vectorized(), cfg.ForceScalar)
 					}
 					res, err := r.Run()
 					if err != nil {
@@ -694,7 +707,8 @@ func TestVecEligibility(t *testing.T) {
 // joint multinomial alias table (Init + PrecomputeJoint) every round; the
 // k-ary conditional case (h = 64, k = 4: support above maxJointSupport)
 // samples symbol by symbol instead; the crash case steps past a live crash
-// event. Workers is 1 because Step does not attach the worker pool.
+// event; the scalar cases run the per-agent definition (ForceScalar) on the
+// same loop. Workers is 1 because Step does not attach the worker pool.
 func TestRoundAllocFree(t *testing.T) {
 	ring, err := graph.Ring(500, 3)
 	if err != nil {
@@ -723,6 +737,17 @@ func TestRoundAllocFree(t *testing.T) {
 	}}
 	counts := binary(protocol.Voter{})
 	counts.N, counts.Backend = 100000, sim.BackendCounts
+	// The per-agent definition on the same loop: its reference samplers
+	// (exact mixture alias, nested multinomials, neighbourhood draws) and
+	// crash masking must be allocation-free too.
+	scalar := func(cfg sim.Config) sim.Config {
+		cfg.ForceScalar = true
+		return cfg
+	}
+	scalarExact := binary(protocol.NewSF())
+	scalarExact.Backend = sim.BackendExact
+	scalarAggregate := binary(protocol.Voter{})
+	scalarAggregate.Backend = sim.BackendAggregate
 
 	cases := []struct {
 		name string
@@ -735,6 +760,11 @@ func TestRoundAllocFree(t *testing.T) {
 		{"ring", onRing},
 		{"crash", crashed},
 		{"counts", counts},
+		{"scalar-exact", scalar(scalarExact)},
+		{"scalar-aggregate", scalar(scalarAggregate)},
+		{"scalar-ring", scalar(onRing)},
+		{"scalar-crash", scalar(crashed)},
+		{"scalar-kary-ssf", scalar(kary(16))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -745,7 +775,7 @@ func TestRoundAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if want := cfg.Backend != sim.BackendCounts; r.Vectorized() != want {
+			if want := cfg.Backend != sim.BackendCounts && !cfg.ForceScalar; r.Vectorized() != want {
 				t.Fatalf("Vectorized() = %v, want %v", r.Vectorized(), want)
 			}
 			step := func() {

@@ -198,12 +198,12 @@ type Config struct {
 	Topology *Topology
 	// Workers bounds simulation goroutines (0 = GOMAXPROCS).
 	Workers int
-	// ForceScalar pins the legacy per-agent engine path even when the
-	// configuration is eligible for the vectorized struct-of-arrays path.
-	// The two paths consume randomness differently, so for the same seed
-	// they produce different (individually deterministic, distributionally
-	// identical) trajectories; set this to reproduce pre-vectorization
-	// traces or to A/B the paths.
+	// ForceScalar runs the protocol's per-agent definition on the same round
+	// loop instead of its vectorized kernel. The two consume randomness
+	// differently, so for the same seed they produce different
+	// (individually deterministic, distributionally identical)
+	// trajectories; set this to reproduce per-agent traces or to A/B the
+	// two.
 	ForceScalar bool
 	// TrackHistory records per-round correct-opinion counts in the Result.
 	TrackHistory bool
