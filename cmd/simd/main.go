@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		queue      = fs.Int("queue", 16, "job queue capacity (submissions beyond it get 429)")
-		workers    = fs.Int("workers", 0, "scheduler workers executing jobs (0 = GOMAXPROCS)")
+		workers    = fs.Int("workers", 0, "scheduler workers executing jobs, and the bound on engines running at once: idle workers help a running job's seeds (0 = GOMAXPROCS)")
 		ttl        = fs.Duration("ttl", time.Hour, "how long finished jobs stay queryable")
 		maxSeeds   = fs.Int("max-seeds", 1024, "maximum seeds per job")
 		drain      = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline before in-flight jobs are cancelled")

@@ -197,13 +197,17 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			if ev.Seq <= from {
-				continue // already delivered before the reconnect
+			if ev.Seq > from { // seq ≤ from was delivered before the reconnect
+				if enc.Encode(ev) != nil {
+					return // client went away
+				}
 			}
-			if enc.Encode(ev) != nil {
-				return // client went away
+			// Flush once the queued events are written: a consumer that
+			// keeps up gets each event at once, one that lags catches up
+			// with one write per batch instead of one per event.
+			if len(ch) == 0 {
+				flush()
 			}
-			flush()
 		case <-done:
 			return
 		}

@@ -92,6 +92,12 @@ type JobStatus struct {
 // handler after the channel closes.
 const subscriberBuffer = 1024
 
+// roundHeadroom is the part of a subscriber's buffer that round events leave
+// free. Once a consumer's backlog reaches the rest, round events are dropped
+// while seed and fault events still queue: a consumer that lags behind
+// parallel seeds loses progress ticks, not results.
+const roundHeadroom = subscriberBuffer / 4
+
 // job is the service's internal mutable record of one submission.
 type job struct {
 	id   string
@@ -186,27 +192,33 @@ func (j *job) subscribe() (<-chan Event, func()) {
 }
 
 // publish assigns the event its sequence number and fans it out to all
-// subscribers, dropping it for any whose buffer is full. The seq counter
+// subscribers, dropping it for any whose buffer is full (for a round event:
+// within roundHeadroom of full). The seq counter
 // advances even with zero subscribers — sequence numbers must be a property
 // of the job's execution, not of who happened to be streaming, or resuming a
 // stream across a daemon restart could not line up. The nsubs fast path
 // keeps the per-round cost of an unobserved job to one increment and one
-// atomic load. It returns the assigned seq (journal records carry it).
+// atomic load. With subscribers the seq is taken and fanned out under one
+// lock, so concurrent publishers (a job's seeds run in parallel) still
+// deliver every stream its events in strictly increasing seq order. It
+// returns the assigned seq (journal records carry it).
 func (j *job) publish(ev Event) uint64 {
-	seq := j.seq.Add(1)
 	if j.nsubs.Load() == 0 {
-		return seq
+		return j.seq.Add(1)
 	}
-	ev.Seq = seq
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	ev.Seq = j.seq.Add(1)
 	for ch := range j.subs {
+		if ev.Type == "round" && len(ch) >= cap(ch)-roundHeadroom {
+			continue
+		}
 		select {
 		case ch <- ev:
 		default:
 		}
 	}
-	j.mu.Unlock()
-	return seq
+	return ev.Seq
 }
 
 // finish moves the job to a terminal state, stamps the eviction deadline,

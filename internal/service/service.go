@@ -1,11 +1,12 @@
 // Package service turns the simulation engine into a long-running
 // simulation-as-a-service subsystem: a bounded job queue with backpressure,
-// a scheduler whose workers run each job's seeds through RunSeeds (one
-// runner per job, rewound with Reset between seeds), a per-job state
-// machine (pending → running → done/failed/cancelled) with context
-// cancellation threaded into the engine's round loop, an in-memory result
-// store with TTL eviction, and streaming round-level progress. cmd/simd
-// exposes it over HTTP; Client is the matching Go client.
+// a scheduler whose workers run each job's seeds (idle workers help a
+// running job; every goroutine keeps one runner, rewound with Reset between
+// seeds, and results commit in spec order), a per-job state machine
+// (pending → running → done/failed/cancelled) with context cancellation
+// threaded into the engine's round loop, an in-memory result store with TTL
+// eviction, and streaming round-level progress. cmd/simd exposes it over
+// HTTP; Client is the matching Go client.
 package service
 
 import (
@@ -42,9 +43,12 @@ type Config struct {
 	// beyond it are rejected with ErrQueueFull (backpressure, not buffering).
 	// Default 16.
 	QueueCapacity int
-	// Workers is the number of scheduler goroutines executing jobs, each
-	// running one job at a time on a single-threaded engine, so a loaded
-	// daemon's CPU use is governed by Workers alone. Default GOMAXPROCS.
+	// Workers is the number of scheduler goroutines executing jobs and the
+	// service's CPU budget. Each worker owns one job at a time and runs its
+	// seeds on a single-threaded engine; while fewer than Workers engines
+	// are busy, idle capacity helps a running job with its remaining seeds
+	// (see runLocal), so a loaded daemon's CPU use stays bounded by Workers.
+	// Default GOMAXPROCS.
 	Workers int
 	// ResultTTL is how long a terminal job remains queryable before the
 	// janitor evicts it. Default 1h.
@@ -65,10 +69,10 @@ type Config struct {
 	CheckpointRounds int
 	// Dispatcher, when non-nil, replaces local seed execution: scheduler
 	// workers hand each job's remaining seeds to it instead of running them
-	// through RunSeeds. The fleet coordinator implements it to fan seeds
-	// out across worker nodes; everything around the dispatch — queueing,
-	// backpressure, the job state machine, journaling, recovery, streams,
-	// and the watchdog — is shared with the local path.
+	// locally. The fleet coordinator implements it to fan seeds out across
+	// worker nodes; everything around the dispatch — queueing, backpressure,
+	// the job state machine, journaling, recovery, streams, and the
+	// watchdog — is shared with the local path.
 	Dispatcher Dispatcher
 	// ExtraMetrics, if non-nil, is appended to the /metrics output after the
 	// service's own counters (fleet rollups in coordinator/worker mode).
@@ -146,6 +150,10 @@ type Service struct {
 	workers     sync.WaitGroup
 	janitorStop chan struct{}
 	stopOnce    sync.Once
+
+	// busy counts the engines computing local seeds: one per running job's
+	// owner plus one per helper. Helpers start only while busy < Workers.
+	busy atomic.Int64
 
 	// Durability state. journal is nil without Config.JournalDir. ready
 	// flips true once journal replay finishes (immediately when there is no
@@ -447,8 +455,8 @@ func (s *Service) worker() {
 
 // runJob drives one job through its remaining seeds. A recovered job
 // re-enters here with its journaled results preloaded: the completed prefix
-// of the seed list is skipped, and the first remaining seed restores from
-// the job's checkpoint when one was journaled.
+// of the seed list is skipped, and the checkpointed seed restores from the
+// job's checkpoint when one was journaled.
 func (s *Service) runJob(j *job) {
 	j.mu.Lock()
 	if j.state != StatePending { // cancelled while queued
@@ -457,7 +465,7 @@ func (s *Service) runJob(j *job) {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	start := len(j.results) // recovered trials; seeds run in order
+	start := len(j.results) // recovered trials; seeds commit in order
 	j.mu.Unlock()
 
 	s.metrics.running.Add(1)
@@ -505,49 +513,184 @@ func (s *Service) runJob(j *job) {
 	s.logf("job %s done", j.id)
 }
 
-// runLocal is the single-node execution path: the job's remaining seeds run
-// in order through RunSeeds. prepare resumes a recovered job from its
-// journaled checkpoint and wires the runner's rounds, faults and checkpoints
-// into the job's stream, the metrics and the journal. A seed error is
-// returned (the job fails); runJob reads cancellation from j.ctx.
+// runLocal is the single-node execution path. The job's owner, the
+// scheduler worker that dequeued it, runs the remaining seeds itself and
+// never waits for a slot. Before each seed it claims, while the service has
+// an idle worker (busy < Workers) and at least two seeds are unclaimed, it
+// starts helper goroutines that claim seeds from the same cursor, each on a
+// runner of its own. A helper yields after its current seed once a newer
+// job's owner pushes busy past Workers, so CPU use stays bounded by Workers
+// and a new job never waits behind another job's helpers.
+//
+// Results pass through a reorder buffer: commitSeed sees the contiguous
+// spec-order prefix only, so the result store, the seed events and the
+// journal stay in spec order; round and fault events of different seeds may
+// interleave. A seed error cancels the siblings, and the job fails with the
+// first non-cancellation error in spec order, naming the job and the seed;
+// runJob reads cancellation from j.ctx. runLocal returns only after every
+// helper has exited, so no commit lands after finalize.
 func (s *Service) runLocal(j *job, start int) error {
-	prepare := func(r *noisypull.Runner, seed uint64) {
-		// A recovered job restores its journaled checkpoint into the rewound
-		// runner, skipping the rounds that already ran before the crash. A
-		// restore failure is not fatal: the engine is deterministic, so
-		// rerunning the seed from round zero reproduces the identical
-		// trajectory — the checkpoint is an optimization, not a correctness
-		// dependency.
-		if rs := j.resume; rs != nil && rs.seed == seed {
-			j.resume = nil
-			if err := r.Restore(rs.data); err != nil {
-				s.logf("job %s: checkpoint restore failed, rerunning seed %d from round 0: %v", j.id, seed, err)
-				r.Reset(seed) // a failed Restore leaves unspecified state
-			} else {
-				s.metrics.rounds.Add(int64(rs.round))
+	lr := &localRun{s: s, j: j, seeds: j.spec.Seeds[start:], start: start, resumeAt: -1}
+	lr.done = make([]*SeedResult, len(lr.seeds))
+	lr.ctx, lr.cancel = context.WithCancel(j.ctx)
+	defer lr.cancel()
+	// A recovered job restores its journaled checkpoint into the runner of
+	// the checkpointed seed, wherever that seed sits in the remaining list:
+	// with seeds in flight together, the last checkpoint can belong to a
+	// seed after the first uncommitted one.
+	if rs := j.resume; rs != nil {
+		j.resume = nil
+		for i, seed := range lr.seeds {
+			if seed == rs.seed {
+				lr.resume, lr.resumeAt = rs, i
+				break
 			}
 		}
-		r.SetOnRound(func(round, correct int) {
-			s.metrics.rounds.Add(1)
-			j.publish(Event{Type: "round", Seed: seed, Round: round, Correct: correct})
-		})
-		r.SetOnFault(func(rec noisypull.FaultRecord) {
-			s.metrics.faults.Add(1)
-			j.publish(Event{Type: "fault", Seed: seed, Round: rec.Round, Kind: rec.Kind.String(), Affected: rec.Affected})
-		})
-		if every := j.spec.CheckpointRounds; every > 0 && s.journal != nil {
-			r.SetCheckpoint(every, func(round int, data []byte) {
-				s.metrics.checkpoints.Add(1)
-				s.metrics.checkpointBytes.Store(int64(len(data)))
-				s.journal.appendCheckpoint(j.id, seed, round, data, j.seq.Load())
-			})
+	}
+	s.busy.Add(1)
+	lr.work(false)
+	s.busy.Add(-1)
+	lr.helpers.Wait()
+	return lr.err
+}
+
+// localRun is one job's local execution: the owner and its helpers claim
+// seeds through next and hand their results to commit.
+type localRun struct {
+	s      *Service
+	j      *job
+	seeds  []uint64 // the job's remaining seeds, j.spec.Seeds[start:]
+	start  int
+	ctx    context.Context // j.ctx, also cancelled by the first seed error
+	cancel context.CancelFunc
+
+	next    atomic.Int64 // index of the next unclaimed seed
+	helpers sync.WaitGroup
+
+	// resume is the journaled checkpoint of seeds[resumeAt] (-1: none).
+	resume   *checkpointState
+	resumeAt int
+
+	mu    sync.Mutex
+	done  []*SeedResult // finished results not yet committed, by index
+	head  int           // first uncommitted index
+	err   error         // first non-cancellation error in spec order
+	errAt int
+}
+
+// work claims and runs seeds on one runner until none is left. The owner
+// starts helpers before each claim; a helper stops claiming once busy
+// exceeds Workers.
+func (lr *localRun) work(helper bool) {
+	i := -1
+	claim := func() (uint64, bool) {
+		if helper {
+			if lr.s.busy.Load() > int64(lr.s.cfg.Workers) {
+				return 0, false
+			}
+		} else {
+			lr.spawnHelpers()
+		}
+		i = int(lr.next.Add(1)) - 1
+		if i >= len(lr.seeds) {
+			return 0, false
+		}
+		return lr.seeds[i], true
+	}
+	err := runSeeds(lr.ctx, lr.j.cfg, claim,
+		func(r *noisypull.Runner, seed uint64) { lr.prepare(r, i, seed) },
+		func(sr SeedResult) { lr.commit(i, sr) })
+	if err != nil {
+		lr.fail(i, err)
+	}
+}
+
+// spawnHelpers starts helpers while the service has an idle worker and at
+// least two seeds are unclaimed. Each helper holds one busy slot until it
+// exits.
+func (lr *localRun) spawnHelpers() {
+	s := lr.s
+	for len(lr.seeds)-int(lr.next.Load()) >= 2 {
+		b := s.busy.Load()
+		if b >= int64(s.cfg.Workers) {
+			return
+		}
+		if !s.busy.CompareAndSwap(b, b+1) {
+			continue
+		}
+		lr.helpers.Add(1)
+		go func() {
+			defer lr.helpers.Done()
+			lr.work(true)
+			s.busy.Add(-1)
+		}()
+	}
+}
+
+// prepare readies the rewound runner for seeds[i]: it restores the
+// journaled checkpoint when the seed has one, and wires the runner's rounds,
+// faults and checkpoints into the job's stream, the metrics and the journal.
+func (lr *localRun) prepare(r *noisypull.Runner, i int, seed uint64) {
+	s, j := lr.s, lr.j
+	// A restore failure is not fatal: the engine is deterministic, so
+	// rerunning the seed from round zero reproduces the identical trajectory
+	// — the checkpoint is an optimization, not a correctness dependency.
+	if rs := lr.resume; rs != nil && i == lr.resumeAt {
+		if err := r.Restore(rs.data); err != nil {
+			s.logf("job %s: checkpoint restore failed, rerunning seed %d from round 0: %v", j.id, seed, err)
+			r.Reset(seed) // a failed Restore leaves unspecified state
+		} else {
+			s.metrics.rounds.Add(int64(rs.round))
+			s.logf("job %s: seed %d resumed from its checkpoint at round %d", j.id, seed, rs.round)
 		}
 	}
-	err := RunSeeds(j.ctx, j.cfg, j.spec.Seeds[start:], prepare, func(sr SeedResult) { s.commitSeed(j, sr) })
-	if errors.Is(err, errPanic) {
-		s.metrics.panics.Add(1)
+	r.SetOnRound(func(round, correct int) {
+		s.metrics.rounds.Add(1)
+		j.publish(Event{Type: "round", Seed: seed, Round: round, Correct: correct})
+	})
+	r.SetOnFault(func(rec noisypull.FaultRecord) {
+		s.metrics.faults.Add(1)
+		j.publish(Event{Type: "fault", Seed: seed, Round: rec.Round, Kind: rec.Kind.String(), Affected: rec.Affected})
+	})
+	if every := j.spec.CheckpointRounds; every > 0 && s.journal != nil {
+		r.SetCheckpoint(every, func(round int, data []byte) {
+			s.metrics.checkpoints.Add(1)
+			s.metrics.checkpointBytes.Store(int64(len(data)))
+			s.journal.appendCheckpoint(j.id, seed, round, data, j.seq.Load())
+		})
 	}
-	return err
+}
+
+// commit is the reorder buffer: it parks seeds[i]'s result and commits the
+// prefix that is now contiguous, in spec order.
+func (lr *localRun) commit(i int, sr SeedResult) {
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	lr.done[i] = &sr
+	for lr.head < len(lr.done) && lr.done[lr.head] != nil {
+		lr.s.commitSeed(lr.j, *lr.done[lr.head])
+		lr.done[lr.head] = nil
+		lr.head++
+	}
+}
+
+// fail records a goroutine's error at seeds[i] and cancels the siblings.
+// Cancellations (a sibling's failure, the job's own cancellation or
+// watchdog) are not seed errors.
+func (lr *localRun) fail(i int, err error) {
+	lr.cancel()
+	if errors.Is(err, context.Canceled) {
+		return
+	}
+	if errors.Is(err, errPanic) {
+		lr.s.metrics.panics.Add(1)
+	}
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	if lr.err == nil || i < lr.errAt {
+		lr.err = fmt.Errorf("job %s seed %d (%d/%d): %w", lr.j.id, lr.seeds[i], lr.start+i+1, len(lr.j.spec.Seeds), err)
+		lr.errAt = i
+	}
 }
 
 // runDispatched hands the job's remaining seeds to the configured Dispatcher
@@ -611,18 +754,33 @@ func MakeSeedResult(seed uint64, res *noisypull.Result) SeedResult {
 // engine code.
 var errPanic = errors.New("panic in protocol/engine")
 
-// RunSeeds runs cfg once per seed, in order, on one runner: built for the
-// first seed, rewound with Reset for each later one, and closed on return.
-// The scheduler's local path and the fleet worker both execute seeds here.
+// RunSeeds runs cfg once per seed, in order, on one runner; the fleet
+// worker executes a lease's seeds here. It is runSeeds over a fixed list.
+func RunSeeds(ctx context.Context, cfg noisypull.Config, seeds []uint64,
+	prepare func(r *noisypull.Runner, seed uint64), emit func(SeedResult)) error {
+	next := 0
+	return runSeeds(ctx, cfg, func() (uint64, bool) {
+		if next == len(seeds) {
+			return 0, false
+		}
+		next++
+		return seeds[next-1], true
+	}, prepare, emit)
+}
+
+// runSeeds runs cfg once for each seed claim hands out, until claim reports
+// none is left, on one runner: built for the first seed, rewound with Reset
+// for each later one, and closed on return. Each of a local job's owner and
+// helper goroutines runs one runSeeds over the job's shared seed cursor.
 // prepare, if non-nil, runs before each seed on the rewound runner; emit
-// receives each seed's result as it finishes. RunSeeds stops at the first
-// seed error and returns it; once ctx is cancelled it starts no further
+// receives each seed's result as it finishes. runSeeds stops at the first
+// seed error and returns it; once ctx is cancelled it claims no further
 // seed and returns ctx.Err().
 //
 // The engine runs on the calling goroutine (cfg.Workers is pinned to 1), so
 // a panic in protocol or engine code is recovered into an error instead of
 // taking down the process: a misbehaving job fails alone.
-func RunSeeds(ctx context.Context, cfg noisypull.Config, seeds []uint64,
+func runSeeds(ctx context.Context, cfg noisypull.Config, claim func() (uint64, bool),
 	prepare func(r *noisypull.Runner, seed uint64), emit func(SeedResult)) (err error) {
 	cfg.Workers = 1
 	var runner *noisypull.Runner
@@ -634,9 +792,13 @@ func RunSeeds(ctx context.Context, cfg noisypull.Config, seeds []uint64,
 			runner.Close()
 		}
 	}()
-	for _, seed := range seeds {
+	for {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		seed, ok := claim()
+		if !ok {
+			return nil
 		}
 		if runner == nil {
 			cfg.Seed = seed
@@ -655,7 +817,6 @@ func RunSeeds(ctx context.Context, cfg noisypull.Config, seeds []uint64,
 		}
 		emit(MakeSeedResult(seed, res))
 	}
-	return nil
 }
 
 // janitor evicts terminal jobs past their TTL.

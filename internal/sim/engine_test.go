@@ -8,9 +8,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"noisypull/internal/faults"
 	"noisypull/internal/graph"
+	"noisypull/internal/rng"
 )
 
 // resultsEqual compares every field of two results, including history.
@@ -372,4 +374,23 @@ func TestTopologyMixturePaths(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChunkStreamsOwnCacheLines pins the padding that keeps runners on
+// different goroutines from false-sharing their chunk streams: each stream
+// fills one cache line, and a slice of them starts on a line boundary even
+// when small allocations of the stream's bare size land beside it.
+func TestChunkStreamsOwnCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(chunkStream{}); got != cacheLine {
+		t.Fatalf("chunkStream is %d bytes, want %d", got, cacheLine)
+	}
+	var keep [][]rng.Stream
+	for k := 1; k <= 300; k++ {
+		keep = append(keep, make([]rng.Stream, 1))
+		cs := make([]chunkStream, k)
+		if a := uintptr(unsafe.Pointer(&cs[0])); a%cacheLine != 0 {
+			t.Fatalf("%d chunk streams start at %#x, off a %d-byte line", k, a, cacheLine)
+		}
+	}
+	runtime.KeepAlive(keep)
 }

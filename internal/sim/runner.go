@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"unsafe"
 
 	"noisypull/internal/faults"
 	"noisypull/internal/noise"
@@ -38,10 +39,11 @@ type Runner struct {
 	// The population of a per-agent backend (see vector.go): a protocol
 	// kernel, or an agentPop running the protocol's per-agent definition
 	// (agents.go). chunkStreams holds one persistent RNG stream per
-	// fixed-size chunk; binDist, multDist, vecQ, vecNbr and vecObs are the
-	// kernels' per-round observation law, rebuilt at every Phase A barrier.
+	// fixed-size chunk, each on a cache line of its own; binDist, multDist,
+	// vecQ, vecNbr and vecObs are the kernels' per-round observation law,
+	// rebuilt at every Phase A barrier.
 	pop          VecPopulation
-	chunkStreams []rng.Stream
+	chunkStreams []chunkStream
 	numChunks    int
 	binDist      rng.BinomialDist
 	multDist     rng.MultinomialDist // complete graph, alphabet > 2
@@ -87,6 +89,22 @@ type Runner struct {
 type workerScratch struct {
 	shard   []int // Phase A per-symbol display counts over the worker's chunks
 	partial int   // Phase B opinion-1 count over the worker's chunks
+}
+
+// cacheLine is the coherence granule that heavily written per-worker state
+// is padded to.
+const cacheLine = 64
+
+// chunkStream is a chunk's RNG stream padded to a cache line. A stream is
+// written on every draw, and two bare 32-byte streams can share a line:
+// those of adjacent chunks stepped by different workers, or those of two
+// runners built at the same time on different goroutines (a daemon running
+// seeds in parallel). The line then bounces between the cores and both
+// runs slow down several-fold. A slice of them is a multiple of 64 bytes,
+// which the Go allocator places on a 64-byte boundary.
+type chunkStream struct {
+	rng.Stream
+	_ [cacheLine - unsafe.Sizeof(rng.Stream{})]byte
 }
 
 // New validates cfg, instantiates the population (assigning roles and
@@ -188,7 +206,7 @@ func newRunner(cfg Config, async bool) (*Runner, error) {
 	case d > 2:
 		r.vecQ = make([]float64, d)
 	}
-	r.chunkStreams = make([]rng.Stream, r.numChunks)
+	r.chunkStreams = make([]chunkStream, r.numChunks)
 	r.counts = make([]int, d)
 	r.scratch = make([]workerScratch, r.workers)
 	// dPad rounds shard lengths up to a cache line so the heavily written
@@ -242,7 +260,7 @@ func (r *Runner) initPopulation() {
 	for c := 0; c < r.numChunks; c++ {
 		r.chunkStreams[c].Reseed(rng.DeriveSeed(cfg.Seed, vecStreamID+uint64(c)))
 		lo, hi := r.chunkBounds(c)
-		r.pop.InitRange(lo, hi, &r.chunkStreams[c])
+		r.pop.InitRange(lo, hi, &r.chunkStreams[c].Stream)
 	}
 }
 

@@ -490,7 +490,7 @@ func (r *Runner) stepRange(w int) {
 	ones := 0
 	for c := w; c < r.numChunks; c += r.workers {
 		lo, hi := r.chunkBounds(c)
-		ones += r.pop.StepRange(lo, hi, &r.vecObs, &r.chunkStreams[c])
+		ones += r.pop.StepRange(lo, hi, &r.vecObs, &r.chunkStreams[c].Stream)
 	}
 	r.scratch[w].partial = ones
 }
